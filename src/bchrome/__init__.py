@@ -32,6 +32,7 @@ from .construct import (
     swap_repair,
 )
 from .errors import (
+    BadInput,
     BchromeError,
     ConstructionFailed,
     GenerationFailed,

@@ -1,31 +1,31 @@
 """Command line entry point.
 
 Subcommands: gen, info, hypcheck, color, verify, bchrom.  Exit codes:
-0 success/Accept, 1 Reject, 2 no strategy applies or precondition violated,
-3 parse error, 4 budget exceeded, 5 construction failed (a counterexample
-candidate, dumped to a timestamped file).
+0 success/Accept, 1 Reject, 2 no strategy applies or precondition violated
+(also argparse usage errors), 3 bad or unreadable input, 4 budget exceeded,
+5 construction failed (a counterexample candidate, dumped to a file).
+Errors map to codes through ``exit_code`` on the classes in ``errors``.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
-import os
 import sys
 
 from . import construct, generators, oracle
 from .coloring import verify_certificate
 from .errors import (
+    BadInput,
+    BchromeError,
     ConstructionFailed,
-    GenerationFailed,
-    MalformedDimacs,
-    MalformedGraph6,
     NoStrategyApplies,
     PreconditionViolated,
-    SchemaViolation,
 )
 from .formats import (
+    MAX_N,
     parse_dimacs,
     parse_graph6,
     read_certificate,
@@ -35,28 +35,23 @@ from .formats import (
 )
 from .graph import Graph, bunches, closed_bunches, count_c6_in_n2, count_c6_through_vertex, girth
 
+# The codes commands return themselves; errors carry theirs (see errors.py).
 EXIT_OK = 0
 EXIT_REJECT = 1
-EXIT_NOT_APPLICABLE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
-EXIT_CONSTRUCTION_FAILED = 5
 
 _FAMILIES = ("cycle", "petersen", "hoffman-singleton", "robertson", "random-regular")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BCHROME_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise BadInput(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
 def _load_graph(path: str) -> Graph:
@@ -67,7 +62,9 @@ def _load_graph(path: str) -> Graph:
     return parse_graph6(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _g: None) -> int:
+    if args.n is not None and args.n > MAX_N:
+        raise BadInput(f"--n {args.n} exceeds {MAX_N}")
     if args.family == "cycle":
         g = generators.cycle(args.n if args.n is not None else 5)
     elif args.family == "petersen":
@@ -97,8 +94,7 @@ def _girth_json(g: Graph):
     return None if gth == float("inf") else int(gth)
 
 
-def _cmd_info(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_info(args, g: Graph) -> int:
     gth = girth(g)
     verts = [args.vertex] if args.vertex is not None else list(range(g.n))
     per_vertex = []
@@ -126,9 +122,8 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _cmd_hypcheck(args) -> int:
-    g = _load_graph(args.graph)
-    report = construct.hypothesis_report(g, threads=_threads())
+def _cmd_hypcheck(args, g: Graph) -> int:
+    report = construct.hypothesis_report(g)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 
@@ -140,22 +135,21 @@ def _print_b_table(cert) -> None:
         print(f"{cls:>5}  {cert.b_vertices[cls]}")
 
 
-def _cmd_color(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_color(args, g: Graph) -> int:
     if args.strategy == "auto":
         if args.vertex is not None:
-            report = construct.hypothesis_report(g, threads=_threads())
-            vr = next(v for v in report.per_vertex if v.vertex == args.vertex)
+            report = construct.hypothesis_report(g)
+            vr = report.per_vertex[args.vertex]
             if not vr.strategies:
                 raise NoStrategyApplies({args.vertex: "no strategy applicable"})
             cert = construct.run_strategy(g, args.vertex, vr.strategies[0])
         else:
-            cert = construct.auto_color(g, threads=_threads())
+            cert = construct.auto_color(g)
     else:
         if args.vertex is not None:
             cert = construct.run_strategy(g, args.vertex, args.strategy)
         else:
-            report = construct.hypothesis_report(g, threads=_threads())
+            report = construct.hypothesis_report(g)
             if report.d is None:
                 raise PreconditionViolated("graph is not regular")
             if report.d < 7:
@@ -181,8 +175,7 @@ def _cmd_color(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_verify(args, g: Graph) -> int:
     cert = read_certificate(_read_text(args.cert))
     res = verify_certificate(cert, g)
     if res:
@@ -192,8 +185,7 @@ def _cmd_verify(args) -> int:
     return EXIT_REJECT
 
 
-def _cmd_bchrom(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_bchrom(args, g: Graph) -> int:
     lim = oracle.SearchLimits(
         max_nodes=args.node_budget, time_budget=args.time_budget
     )
@@ -205,23 +197,25 @@ def _cmd_bchrom(args) -> int:
     return EXIT_BUDGET
 
 
-def _dump_counterexample(argv: list[str], e: ConstructionFailed) -> str:
-    stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
-    path = f"counterexample-candidate-{stamp}.json"
-    graph_g6 = None
-    for tok in argv:
-        if tok in ("-",) or tok.startswith("-"):
-            continue
+def _dump_counterexample(g: Graph | None, argv: list[str], e: ConstructionFailed) -> str:
+    """Write the failing step, its log and the input graph to a new file in
+    the working directory; an earlier dump is never overwritten."""
+    doc = {
+        "step": e.step,
+        "log": list(e.log),
+        "graph6": None if g is None else write_graph6(g),
+        "argv": argv,
+    }
+    stem = "counterexample-candidate-" + datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
+    for suffix in itertools.count():
+        path = f"{stem}.json" if suffix == 0 else f"{stem}-{suffix}.json"
         try:
-            graph_g6 = write_graph6(_load_graph(tok))
-            break
-        except Exception:
+            with open(path, "x", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except FileExistsError:
             continue
-    doc = {"step": e.step, "log": list(e.log), "graph6": graph_g6, "argv": argv}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return path
+        return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,23 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (MalformedGraph6, MalformedDimacs, SchemaViolation) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NoStrategyApplies, PreconditionViolated) as e:
-        print(f"not applicable: {e}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except GenerationFailed as e:
-        print(f"generation failed: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConstructionFailed as e:
-        path = _dump_counterexample(argv, e)
-        print(f"construction failed at {e.step}; dump written to {path}", file=sys.stderr)
-        return EXIT_CONSTRUCTION_FAILED
-    except (FileNotFoundError, IsADirectoryError) as e:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # usage error (2) or --help (0), already printed
+        return e.code
+    g = None
+    try:
+        if hasattr(args, "graph"):
+            g = _load_graph(args.graph)
+            if getattr(args, "vertex", None) is not None:
+                g.check_vertex(args.vertex)
+        return args.fn(args, g)
+    except BchromeError as e:
+        if isinstance(e, ConstructionFailed):
+            path = _dump_counterexample(g, argv, e)
+            print(f"construction failed at {e.step}; dump written to {path}", file=sys.stderr)
+        else:
+            print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
         print(f"cannot read input: {e}", file=sys.stderr)
         return EXIT_PARSE
 

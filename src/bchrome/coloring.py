@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CompletionFailedError, NotTotalError
+from .errors import BadInput, CompletionFailedError, ConstructionFailed, NotTotalError
 from .graph import Graph, girth
 
 
@@ -19,7 +19,7 @@ class PartialColoring:
 
     def __init__(self, n: int, k: int, colors: list[int | None] | None = None):
         if k < 1:
-            raise ValueError("k must be positive")
+            raise BadInput("k must be positive")
         self.k = k
         self._colors: list[int | None] = list(colors) if colors is not None else [None] * n
 
@@ -34,13 +34,17 @@ class PartialColoring:
         return list(self._colors)
 
     def assign(self, v: int, color: int, g: Graph) -> None:
-        """Assign a color, enforcing range and local properness."""
+        """Assign a color, enforcing range and local properness.
+
+        A clash is a ConstructionFailed: every construction assigns only
+        colors its theorem proves free.
+        """
         if not (1 <= color <= self.k):
-            raise ValueError(f"color {color} outside [1, {self.k}]")
+            raise BadInput(f"color {color} outside [1, {self.k}]")
         for w in g.adj[v]:
             if self._colors[w] == color:
-                raise AssertionError(
-                    f"assigning {color} to {v} clashes with neighbor {w}"
+                raise ConstructionFailed(
+                    f"assign: color {color} on {v} clashes with neighbor {w}"
                 )
         self._colors[v] = color
 
@@ -170,7 +174,9 @@ def verify_certificate(cert: Certificate, g: Graph) -> VerifyResult:
     c = PartialColoring(g.n, cert.k, list(cert.colors))
     if not is_proper(c, g):
         return VerifyResult(False, "ImproperEdge")
-    if {cert.colors[v] for v in range(g.n)} != set(range(1, cert.k + 1)):
+    # Every color lies in [1, k], so the classes are exactly [k] iff there
+    # are k of them; this also bounds k by n before anything is sized by k.
+    if len(set(cert.colors)) != cert.k:
         return VerifyResult(False, "WrongColorCount")
     if sorted(cert.b_vertices) != list(range(1, cert.k + 1)):
         return VerifyResult(False, "MissingClass")

@@ -20,12 +20,11 @@ from .coloring import (
     verify_certificate,
 )
 from .errors import (
+    BadInput,
     ConstructionFailed,
     GirthTooSmallError,
-    InternalInvariantViolation,
     NoStrategyApplies,
     PreconditionViolated,
-    RepairStuck,
 )
 from .graph import (
     Graph,
@@ -88,16 +87,11 @@ def lemma_extension(
     _seed_center(c, g, bs)
     _color_first_bunch(c, g, bs)
     for t in range(2, 5):
-        try:
-            color_bunch(c, g, bs, t)
-        except Exception as e:
-            raise InternalInvariantViolation(
-                f"Hall extension failed on bunch {t}: {e}"
-            ) from e
+        color_bunch(c, g, bs, t)
     for i in range(4):
         if available_colors(c, g, bs.neighbor_order[i]):
-            raise InternalInvariantViolation(
-                f"x_{i + 1} is not a b-vertex after the extension"
+            raise ConstructionFailed(
+                f"lemma-extension: x_{i + 1} is not a b-vertex after the extension"
             )
     return c
 
@@ -188,16 +182,16 @@ def swap_repair(
                     partner = p
                     break
         if partner is None:
-            raise RepairStuck(
-                f"no swap case applies at bunch {t}, clash color {k}"
+            raise ConstructionFailed(
+                f"swap-repair: no swap case applies at bunch {t}, clash color {k}"
             )
         c.swap(bunch[partner], v0)
         current = mono_edges()
         if trace is not None:
             trace.append(len(current))
         if len(current) >= before:
-            raise InternalInvariantViolation(
-                "swap did not decrease the monochromatic count"
+            raise ConstructionFailed(
+                f"swap-repair: swap did not decrease the monochromatic count at bunch {t}"
             )
     return c
 
@@ -271,19 +265,14 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
         high.count(3) <= 1 and high.count(2) <= 2 and all(p <= 3 for p in high)
     )
     if not (case_one or case_two):
-        raise InternalInvariantViolation(
-            f"S2 degree multiset {high} inconsistent with the C6 bound"
+        raise ConstructionFailed(
+            f"bounded-c6: S2 degree multiset {high} inconsistent with the C6 bound"
         )
     order = order_by_degree_sequences(g, x)
     bs = bunches(g, x, order)
     c = lemma_extension(g, x, order)
     for t in range(5, d + 1):
-        try:
-            color_bunch(c, g, bs, t)
-        except Exception as e:
-            raise InternalInvariantViolation(
-                f"Hall extension failed on bunch {t}: {e}"
-            ) from e
+        color_bunch(c, g, bs, t)
     greedy_complete(c, g)
     cert = _make_certificate(g, "bounded-c6", bs, c, dict_extra_b={})
     return _checked(cert, g)
@@ -323,8 +312,8 @@ def _make_certificate(
 def _checked(cert: Certificate, g: Graph) -> Certificate:
     res = verify_certificate(cert, g)
     if not res:
-        raise InternalInvariantViolation(
-            f"constructed certificate rejected: {res.reason}"
+        raise ConstructionFailed(
+            f"self-verify: constructed certificate rejected: {res.reason}"
         )
     return cert
 
@@ -605,48 +594,45 @@ def color_two_bunch(g: Graph, x: int) -> Certificate:
     bm = order_two_bunch(g, x)
     k = d + 1
     c = PartialColoring(g.n, k)
-    try:
-        c.assign(x, k, g)
-        for i, xi in enumerate(bm.col_attach, start=1):
-            c.assign(xi, i, g)
-        for j in range(1, d):  # step 3: c(x_1^j) = j+1
-            c.assign(bm.cells[j - 1][0], j + 1, g)
-        for v in bm.independent_set:  # step 4
-            c.assign(v, 1, g)
-        for j in range(4, d):  # step 5: c(x_d^j) = d+1
-            c.assign(bm.cells[j - 1][d - 1], k, g)
-        # step 6: color by the row of the unique X_d neighbor
-        xd_set = {bm.cells[r][d - 1]: r + 1 for r in range(d - 1)}
-        for cidx in range(d - 1):
-            assigned: set[int] = set()
-            rows = range(d - 1) if cidx < d - 2 else range(3, d - 1)
-            for r in rows:
-                wv = bm.cells[r][cidx]
-                if c.color(wv) is not None:
-                    continue
-                nbrs = [u for u in g.adj[wv] if u in xd_set]
-                if len(nbrs) != 1:
-                    raise InternalInvariantViolation(
-                        f"vertex {wv} has {len(nbrs)} neighbors in X_d"
-                    )
-                col = xd_set[nbrs[0]] + 1
-                if col in assigned:
-                    raise InternalInvariantViolation(
-                        f"duplicate color {col} within column {cidx + 1}"
-                    )
-                assigned.add(col)
+    c.assign(x, k, g)
+    for i, xi in enumerate(bm.col_attach, start=1):
+        c.assign(xi, i, g)
+    for j in range(1, d):  # step 3: c(x_1^j) = j+1
+        c.assign(bm.cells[j - 1][0], j + 1, g)
+    for v in bm.independent_set:  # step 4
+        c.assign(v, 1, g)
+    for j in range(4, d):  # step 5: c(x_d^j) = d+1
+        c.assign(bm.cells[j - 1][d - 1], k, g)
+    # step 6: color by the row of the unique X_d neighbor
+    xd_set = {bm.cells[r][d - 1]: r + 1 for r in range(d - 1)}
+    for cidx in range(d - 1):
+        assigned: set[int] = set()
+        rows = range(d - 1) if cidx < d - 2 else range(3, d - 1)
+        for r in rows:
+            wv = bm.cells[r][cidx]
+            if c.color(wv) is not None:
+                continue
+            nbrs = [u for u in g.adj[wv] if u in xd_set]
+            if len(nbrs) != 1:
+                raise ConstructionFailed(
+                    f"two-bunch step 6: vertex {wv} has {len(nbrs)} neighbors in X_d"
+                )
+            col = xd_set[nbrs[0]] + 1
+            if col in assigned:
+                raise ConstructionFailed(
+                    f"two-bunch step 6: duplicate color {col} within column {cidx + 1}"
+                )
+            assigned.add(col)
+            c.assign(wv, col, g)
+    # step 7: the six top-right cells, first fit
+    for cidx in (d - 2, d - 1):
+        for r in range(3):
+            wv = bm.cells[r][cidx]
+            if c.color(wv) is None:
+                used = {c.color(u) for u in g.adj[wv]}
+                col = next(col for col in range(1, k + 1) if col not in used)
                 c.assign(wv, col, g)
-        # step 7: the six top-right cells, first fit
-        for cidx in (d - 2, d - 1):
-            for r in range(3):
-                wv = bm.cells[r][cidx]
-                if c.color(wv) is None:
-                    used = {c.color(u) for u in g.adj[wv]}
-                    col = next(col for col in range(1, k + 1) if col not in used)
-                    c.assign(wv, col, g)
-        greedy_complete(c, g)
-    except AssertionError as e:
-        raise InternalInvariantViolation(str(e)) from e
+    greedy_complete(c, g)
     extra = {
         d - 1: bm.cells[d - 3][0],  # x_1^{d-2}
         d: bm.cells[d - 2][0],  # x_1^{d-1}
@@ -673,7 +659,7 @@ _STRATEGY_FN = {
 
 def run_strategy(g: Graph, x: int, strategy: str) -> Certificate:
     if strategy not in _STRATEGY_FN:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise BadInput(f"unknown strategy {strategy!r}")
     return _STRATEGY_FN[strategy](g, x)
 
 
@@ -720,7 +706,7 @@ class HypothesisReport:
         }
 
 
-def hypothesis_report(g: Graph, threads: int = 1) -> HypothesisReport:
+def hypothesis_report(g: Graph) -> HypothesisReport:
     """Per-vertex census of the hypotheses the strategies need, plus the
     scope flags of the d >= 7 regime (including the n <= 2d^3-2d^2+2d-1
     bound below which the conjecture is still open)."""
@@ -742,13 +728,7 @@ def hypothesis_report(g: Graph, threads: int = 1) -> HypothesisReport:
                 vr.strategies.append("two-bunch")
         return vr
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_vertex = list(ex.map(census, range(g.n)))
-    else:
-        per_vertex = [census(x) for x in range(g.n)]
+    per_vertex = [census(x) for x in range(g.n)]
     has_c6 = any(vr.c6_through > 0 for vr in per_vertex)
     flags = {
         "regular": d is not None,
@@ -762,14 +742,14 @@ def hypothesis_report(g: Graph, threads: int = 1) -> HypothesisReport:
     )
 
 
-def auto_color(g: Graph, threads: int = 1) -> Certificate:
+def auto_color(g: Graph) -> Certificate:
     """First accepted certificate, scanning vertices ascending and
     strategies in the order no-c6, bounded-c6, two-bunch.
 
     ConstructionFailed propagates: an applicable vertex where a proof step
     fails is exactly what this tool exists to surface.
     """
-    report = hypothesis_report(g, threads=threads)
+    report = hypothesis_report(g)
     reasons: dict[int, str] = {}
     for vr in report.per_vertex:
         if not vr.strategies:

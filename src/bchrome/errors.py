@@ -1,73 +1,112 @@
-"""Exception hierarchy shared by all bchrome modules."""
+"""Exception hierarchy shared by all bchrome modules.
+
+Every error carries the CLI exit code it ends in, from one base per code:
+
+- 2 ``PreconditionViolated``: the input lies outside a strategy's hypotheses;
+- 3 ``BadInput``: malformed or out-of-range input (also a ``ValueError``);
+- 4 ``GenerationFailed``: the random generator ran out of attempts;
+- 5 ``ConstructionFailed``: a step the theorems guarantee found nothing, so
+  the input is a counterexample candidate (or the code has a bug).
+
+``cli.main`` prints ``f"{e.label}: {e}"`` (for a construction failure, the
+step and the path of its dump instead) and exits with ``e.exit_code``.
+"""
 
 
 class BchromeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  Every concrete error derives from
+    one of the four bases below, which set ``exit_code`` and ``label``."""
 
-
-class SelfLoopError(BchromeError):
-    pass
-
-
-class VertexOutOfRangeError(BchromeError):
-    pass
-
-
-class GirthTooSmallError(BchromeError):
-    pass
-
-
-class NotInAnyBunchError(BchromeError):
-    pass
-
-
-class NotInS2Error(BchromeError):
-    pass
-
-
-class BunchAlreadyColoredError(BchromeError):
-    pass
-
-
-class NotTotalError(BchromeError):
-    pass
-
-
-class CompletionFailedError(BchromeError):
-    def __init__(self, vertex: int):
-        super().__init__(f"no color available for vertex {vertex}")
-        self.vertex = vertex
-
-
-class HallFailure(BchromeError):
-    """A bunch coloring step hit a Hall violator.
-
-    Carries the violating index set; under the theorems' hypotheses this
-    cannot happen, so seeing one means either the input violates a
-    hypothesis or there is an ordering bug upstream.
-    """
-
-    def __init__(self, violator: frozenset):
-        super().__init__(f"Hall condition violated by index set {sorted(violator)}")
-        self.violator = violator
+    exit_code: int
+    label: str
 
 
 class PreconditionViolated(BchromeError):
+    exit_code = 2
+    label = "not applicable"
+
+
+class NoStrategyApplies(PreconditionViolated):
+    def __init__(self, reasons: dict):
+        super().__init__("no coloring strategy applies to any vertex")
+        self.reasons = reasons
+
+
+class GirthTooSmallError(PreconditionViolated):
     pass
 
 
-class InternalInvariantViolation(BchromeError):
+class BadInput(BchromeError, ValueError):
+    exit_code = 3
+    label = "bad input"
+
+
+class SelfLoopError(BadInput):
     pass
 
 
-class RepairStuck(BchromeError):
+class VertexOutOfRangeError(BadInput):
     pass
+
+
+class NotInS2Error(BadInput):
+    pass
+
+
+class BunchAlreadyColoredError(BadInput):
+    pass
+
+
+class NotTotalError(BadInput):
+    pass
+
+
+class FamilyTooLarge(BadInput):
+    pass
+
+
+class MalformedGraph6(BadInput):
+    label = "parse error"
+
+    def __init__(self, position: int, message: str = "bad byte"):
+        super().__init__(f"malformed graph6 at position {position}: {message}")
+        self.position = position
+
+
+class MalformedDimacs(BadInput):
+    label = "parse error"
+
+    def __init__(self, line: int, message: str = "bad line"):
+        super().__init__(f"malformed DIMACS at line {line}: {message}")
+        self.line = line
+
+
+class SchemaViolation(BadInput):
+    label = "parse error"
+
+    def __init__(self, path: str, message: str = "invalid"):
+        super().__init__(f"certificate schema violation at {path}: {message}")
+        self.path = path
+
+
+class GenerationFailed(BchromeError):
+    exit_code = 4
+    label = "generation failed"
+
+    def __init__(self, attempts: int):
+        super().__init__(f"generation failed after {attempts} attempts")
+        self.attempts = attempts
 
 
 class ConstructionFailed(BchromeError):
-    """A step of the matrix ordering could not find a vertex the theorem
-    guarantees to exist.  Such inputs are counterexample candidates and are
-    surfaced with the step name and a log, never patched silently."""
+    """A step of a construction could not find what the theorem guarantees.
+
+    Such inputs are counterexample candidates and are surfaced with the step
+    name and a log, never patched silently.
+    """
+
+    exit_code = 5
+    label = "construction failed"
 
     def __init__(self, step: str, log: list[str] | None = None):
         super().__init__(f"construction failed at step: {step}")
@@ -75,35 +114,20 @@ class ConstructionFailed(BchromeError):
         self.log = log or []
 
 
-class NoStrategyApplies(BchromeError):
-    def __init__(self, reasons: dict):
-        super().__init__("no coloring strategy applies to any vertex")
-        self.reasons = reasons
+class HallFailure(ConstructionFailed):
+    """A bunch coloring step hit a Hall violator.
+
+    Carries the violating index set; under the theorems' hypotheses this
+    cannot happen, so seeing one means either the input violates a
+    hypothesis or there is an ordering bug upstream.
+    """
+
+    def __init__(self, violator: frozenset, step: str):
+        super().__init__(f"{step}: Hall condition violated by index set {sorted(violator)}")
+        self.violator = violator
 
 
-class MalformedGraph6(BchromeError):
-    def __init__(self, position: int, message: str = "bad byte"):
-        super().__init__(f"malformed graph6 at position {position}: {message}")
-        self.position = position
-
-
-class MalformedDimacs(BchromeError):
-    def __init__(self, line: int, message: str = "bad line"):
-        super().__init__(f"malformed DIMACS at line {line}: {message}")
-        self.line = line
-
-
-class SchemaViolation(BchromeError):
-    def __init__(self, path: str, message: str = "invalid"):
-        super().__init__(f"certificate schema violation at {path}: {message}")
-        self.path = path
-
-
-class GenerationFailed(BchromeError):
-    def __init__(self, attempts: int):
-        super().__init__(f"generation failed after {attempts} attempts")
-        self.attempts = attempts
-
-
-class FamilyTooLarge(BchromeError):
-    pass
+class CompletionFailedError(ConstructionFailed):
+    def __init__(self, vertex: int):
+        super().__init__(f"greedy-completion: no color available for vertex {vertex}")
+        self.vertex = vertex

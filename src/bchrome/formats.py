@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 
 from .coloring import Certificate
-from .errors import MalformedDimacs, MalformedGraph6, SchemaViolation
+from .errors import BadInput, MalformedDimacs, MalformedGraph6, SchemaViolation
 from .graph import Graph, build_graph
 
 _MAX_SHORT_N = 62
-_MAX_LONG_N = 258047  # 18-bit length form: '~' + 3 data bytes
+# 18-bit length form: '~' + 3 data bytes.  Also the cap on DIMACS input and
+# on generated graphs, so every graph the CLI holds can be written as graph6.
+MAX_N = 258047
 
 
 def parse_graph6(text: str) -> Graph:
@@ -20,6 +23,8 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(0, "empty input")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+        if not s:
+            raise MalformedGraph6(len(">>graph6<<"), "empty input")
     for pos, ch in enumerate(s):
         if not (63 <= ord(ch) <= 126):
             raise MalformedGraph6(pos, f"byte {ord(ch)} outside graph6 range")
@@ -56,8 +61,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n > _MAX_LONG_N:
-        raise ValueError(f"graph6 writer supports n <= {_MAX_LONG_N}")
+    if g.n > MAX_N:
+        raise BadInput(f"graph6 writer supports n <= {MAX_N}")
     if g.n <= _MAX_SHORT_N:
         head = chr(g.n + 63)
     else:
@@ -98,6 +103,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise MalformedDimacs(lineno, "non-integer p-line fields")
             if n < 0:
                 raise MalformedDimacs(lineno, "negative vertex count")
+            if n > MAX_N:
+                raise MalformedDimacs(lineno, f"vertex count {n} above {MAX_N}")
         elif parts[0] == "e":
             if n is None:
                 raise MalformedDimacs(lineno, "e-line before p-line")
@@ -109,6 +116,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise MalformedDimacs(lineno, "non-integer endpoints")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedDimacs(lineno, "endpoint out of range")
+            if u == v:
+                raise MalformedDimacs(lineno, f"self-loop at vertex {u}")
             edges.append((u - 1, v - 1))
         else:
             raise MalformedDimacs(lineno, f"unknown record {parts[0]!r}")
@@ -161,26 +170,45 @@ def write_certificate(cert: Certificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# Canonical class keys only, so that "01" and "1" cannot name one class
+# twice; at most 18 digits, so int() never hits Python's digit limit.
+_CLASS_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise SchemaViolation(path, msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    _require(len(doc) == len(pairs), "$", "duplicate object keys")
+    return doc
+
+
 def read_certificate(text: str) -> Certificate:
     """Parse and validate a certificate document; unknown fields rejected."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+    except SchemaViolation:
+        raise
+    # ValueError covers JSONDecodeError and integers too long to convert;
+    # RecursionError, arrays nested too deep.
+    except (ValueError, RecursionError) as e:
         raise SchemaViolation("$", f"not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "$", "document must be an object")
     unknown = set(doc) - _CERT_FIELDS
     _require(not unknown, "$", f"unknown fields {sorted(unknown)}")
     missing = _CERT_FIELDS - set(doc)
     _require(not missing, "$", f"missing fields {sorted(missing)}")
-    _require(doc["version"] == CERT_VERSION, "$.version", "unsupported version")
+    _require(_is_int(doc["version"]) and doc["version"] == CERT_VERSION,
+             "$.version", "unsupported version")
     for key in ("n", "m", "d", "girth", "k", "center"):
-        _require(isinstance(doc[key], int) and not isinstance(doc[key], bool),
-                 f"$.{key}", "must be an integer")
+        _require(_is_int(doc[key]), f"$.{key}", "must be an integer")
     _require(isinstance(doc["strategy"], str), "$.strategy", "must be a string")
     n, k = doc["n"], doc["k"]
     _require(n >= 0, "$.n", "negative")
@@ -189,26 +217,25 @@ def read_certificate(text: str) -> Certificate:
     _require(isinstance(colors, list), "$.colors", "must be an array")
     _require(len(colors) == n, "$.colors", f"length {len(colors)} != n = {n}")
     for i, col in enumerate(colors):
-        _require(isinstance(col, int) and not isinstance(col, bool),
-                 f"$.colors[{i}]", "must be an integer")
+        _require(_is_int(col), f"$.colors[{i}]", "must be an integer")
         _require(1 <= col <= k, f"$.colors[{i}]", f"color {col} outside [1, {k}]")
     order = doc["neighbor_order"]
-    _require(isinstance(order, list) and all(isinstance(v, int) for v in order),
+    _require(isinstance(order, list) and all(_is_int(v) for v in order),
              "$.neighbor_order", "must be an integer array")
     row_order = doc["row_order"]
     if row_order is not None:
         _require(
             isinstance(row_order, list)
-            and all(isinstance(r, list) and all(isinstance(v, int) for v in r) for r in row_order),
+            and all(isinstance(r, list) and all(_is_int(v) for v in r) for r in row_order),
             "$.row_order", "must be null or an array of integer arrays",
         )
     bv_raw = doc["b_vertices"]
     _require(isinstance(bv_raw, dict), "$.b_vertices", "must be an object")
     b_vertices = {}
     for key, v in bv_raw.items():
-        _require(key.isdigit(), f"$.b_vertices.{key}", "class keys are decimal strings")
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"$.b_vertices.{key}", "vertex must be an integer")
+        _require(_CLASS_KEY.fullmatch(key) is not None, f"$.b_vertices.{key}",
+                 "class keys are decimal strings without leading zeros")
+        _require(_is_int(v), f"$.b_vertices.{key}", "vertex must be an integer")
         b_vertices[int(key)] = v
     prov = doc["provenance"]
     _require(prov is None or isinstance(prov, str), "$.provenance", "must be null or string")

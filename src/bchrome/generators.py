@@ -6,7 +6,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import GenerationFailed
+from .errors import BadInput, GenerationFailed
 from .graph import Graph, build_graph
 
 
@@ -24,7 +24,7 @@ class GenSpec:
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise BadInput("a cycle needs at least 3 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -210,10 +210,12 @@ def random_regular_girth(spec: GenSpec) -> Graph:
     Deterministic per seed.  Raises GenerationFailed after max_attempts
     exhausted pairings.
     """
+    if spec.d < 0:
+        raise BadInput("degree must be nonnegative")
     if spec.n * spec.d % 2 != 0:
-        raise ValueError("n*d must be even")
+        raise BadInput("n*d must be even")
     if spec.d >= spec.n:
-        raise ValueError("degree must be below n")
+        raise BadInput("degree must be below n")
     rng = random.Random(spec.seed)
     for _ in range(spec.max_attempts):
         g = _pairing(spec.n, spec.d, rng)

@@ -13,8 +13,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadInput,
     GirthTooSmallError,
-    NotInAnyBunchError,
     NotInS2Error,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -101,7 +101,7 @@ def distances(g: Graph, v: int) -> list[float]:
 def sphere(g: Graph, v: int, k: int) -> set[int]:
     """Vertices at distance exactly k from v."""
     if k < 0:
-        raise ValueError("radius must be nonnegative")
+        raise BadInput("radius must be nonnegative")
     dist = distances(g, v)
     return {u for u in range(g.n) if dist[u] == k}
 
@@ -161,7 +161,7 @@ class BunchStructure:
     def bunch_of(self, v: int) -> int:
         """0-based bunch index of v."""
         if v not in self.position:
-            raise NotInAnyBunchError(f"vertex {v} is in no bunch of center {self.center}")
+            raise BadInput(f"vertex {v} is in no bunch of center {self.center}")
         return self.position[v][0]
 
 
@@ -177,7 +177,7 @@ def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> Bu
     else:
         order = tuple(neighbor_order)
         if sorted(order) != sorted(g.adj[x]):
-            raise ValueError("neighbor_order is not a permutation of N(x)")
+            raise BadInput("neighbor_order is not a permutation of N(x)")
     closed = set(g.adj[x]) | {x}
     seen: set[int] = set()
     bunch_lists: list[list[int]] = []

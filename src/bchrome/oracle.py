@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import PartialColoring, is_b_coloring
-from .errors import FamilyTooLarge
+from .errors import BadInput, FamilyTooLarge
 from .graph import Graph
 from .transversal import SetFamily
 
@@ -86,7 +86,7 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
     a proper total coloring.  Finds a witness iff one exists, within budget.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadInput("k must be positive")
     lim = lim or SearchLimits()
     if g.n < k:
         return BColoringResult(NO)
@@ -108,7 +108,7 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
         nbhd = sorted({w for v in cand for w in g.adj[v]} - set(cand))
         rest = sorted(set(range(g.n)) - set(cand) - set(nbhd))
         order = nbhd + rest
-        res = _extend(g, k, colors, cand, order, 0, budget)
+        res = _extend(g, k, colors, cand, order, budget)
         if res is None:
             ran_out = True
             break
@@ -138,29 +138,46 @@ def _b_feasible(g: Graph, k: int, colors: list[int | None], cand) -> bool:
     return True
 
 
-def _extend(g, k, colors, cand, order, pos, budget) -> bool | None:
-    """DFS extension; True found, False exhausted, None budget exceeded."""
-    if not budget.tick():
-        return None
-    while pos < len(order) and colors[order[pos]] is not None:
-        pos += 1
-    if pos == len(order):
-        return True
-    v = order[pos]
-    forbidden = {colors[w] for w in g.adj[v] if colors[w] is not None}
-    for col in range(1, k + 1):
-        if col in forbidden:
-            continue
-        colors[v] = col
-        if _b_feasible(g, k, colors, cand):
-            res = _extend(g, k, colors, cand, order, pos + 1, budget)
-            if res:
-                return True
-            if res is None:
+def _extend(g, k, colors, cand, order, budget) -> bool | None:
+    """DFS extension; True found, False exhausted, None budget exceeded.
+
+    Iterative, with one frame [vertex, forbidden colors, last color tried,
+    position in order] per colored vertex, so the depth is not bounded by
+    the interpreter's recursion limit.  Nodes are visited (and ticked) in
+    the order of the plain recursive search.
+    """
+    frames: list[list] = []
+    pos = 0
+    while True:
+        if not budget.tick():
+            for frame in frames:
+                colors[frame[0]] = None
+            return None
+        while pos < len(order) and colors[order[pos]] is not None:
+            pos += 1
+        if pos == len(order):
+            return True
+        v = order[pos]
+        frames.append([v, {colors[w] for w in g.adj[v] if colors[w] is not None}, 0, pos])
+        while frames:
+            frame = frames[-1]
+            v, forbidden, last, _ = frame
+            colors[v] = None
+            for col in range(last + 1, k + 1):
+                if col in forbidden:
+                    continue
+                colors[v] = col
+                if _b_feasible(g, k, colors, cand):
+                    break
                 colors[v] = None
-                return None
-        colors[v] = None
-    return False
+            else:
+                frames.pop()
+                continue
+            frame[2] = col
+            pos = frame[3] + 1
+            break
+        else:
+            return False
 
 
 @dataclass
@@ -176,7 +193,7 @@ def exact_b_chromatic(g: Graph, lim: SearchLimits | None = None) -> BChromaticRe
     budget blocks some larger k the answer is a lower bound only.
     """
     if g.n == 0:
-        raise ValueError("empty graph has no coloring")
+        raise BadInput("empty graph has no coloring")
     delta = max(g.degree(v) for v in range(g.n))
     bounded = False
     for k in range(delta + 1, 0, -1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BunchAlreadyColoredError, HallFailure
+from .errors import BadInput, BunchAlreadyColoredError, ConstructionFailed, HallFailure
 from .coloring import PartialColoring
 from .graph import BunchStructure, Graph
 
@@ -26,7 +26,7 @@ class SetFamily:
         for i, a in enumerate(self.sets):
             bad = [e for e in a if not (1 <= e <= self.universe)]
             if bad:
-                raise ValueError(f"set {i} has elements outside [1, {self.universe}]: {bad}")
+                raise BadInput(f"set {i} has elements outside [1, {self.universe}]: {bad}")
 
     @staticmethod
     def of(sets, universe: int) -> "SetFamily":
@@ -128,12 +128,12 @@ def color_bunch(c: PartialColoring, g: Graph, bs: BunchStructure, t: int) -> Par
     fam = build_bunch_lists(c, g, bs, t)
     res = find_transversal(fam)
     if not res.found:
-        raise HallFailure(res.violator)
+        raise HallFailure(res.violator, f"color-bunch {t}")
     bunch = bs.bunches[t - 1]
     for i, v in enumerate(bunch):
         c.assign(v, res.assignment[i], g)
     used = sorted(res.assignment.values())
     expected = sorted(set(range(1, bs.d + 1)) - {t})
     if used != expected:
-        raise AssertionError("bunch coloring is not a bijection onto [d] \\ {t}")
+        raise ConstructionFailed(f"color-bunch {t}: not a bijection onto [{bs.d}] minus {t}")
     return c

@@ -68,15 +68,6 @@ def test_hypcheck_json(capsys, hs_file):
     assert doc["per_vertex"][0]["strategies"] == ["two-bunch"]
 
 
-def test_hypcheck_respects_thread_env(capsys, hs_file, monkeypatch):
-    monkeypatch.setenv("BCHROME_THREADS", "4")
-    code, out, _ = run(capsys, ["hypcheck", hs_file])
-    monkeypatch.delenv("BCHROME_THREADS")
-    code2, out2, _ = run(capsys, ["hypcheck", hs_file])
-    assert code == code2 == 0
-    assert out == out2  # vertex order independent of scheduling
-
-
 def test_color_and_verify_round_trip(capsys, tmp_path, hs_file):
     cert_path = str(tmp_path / "cert.json")
     code, out, _ = run(
@@ -141,3 +132,178 @@ def test_parse_error_exit(capsys, tmp_path):
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, ["info", "/nonexistent/file.g6"])
     assert code == 3
+
+
+@pytest.fixture(scope="module")
+def hs_cert_doc():
+    from bchrome.construct import color_two_bunch
+    from bchrome.formats import write_certificate
+
+    return json.loads(write_certificate(color_two_bunch(hoffman_singleton(), 0)))
+
+
+def _rekey(old, new):
+    def mutate(doc):
+        doc["b_vertices"][new] = doc["b_vertices"].pop(old)
+
+    return mutate
+
+
+def _alias(old, new):
+    def mutate(doc):
+        doc["b_vertices"][new] = doc["b_vertices"][old]
+
+    return mutate
+
+
+def _true_for_one(doc):
+    doc["neighbor_order"] = [True if v == 1 else v for v in doc["neighbor_order"]]
+
+
+# id, argv ({hs}: Hoffman-Singleton graph6 file, {f}: the row's input file),
+# and the input file's bytes (or a mutation of a valid Hoffman-Singleton
+# certificate).
+BAD_INPUTS = [
+    ("dimacs-self-loop", ["info", "{f}"], b"p edge 3 2\ne 1 1\ne 1 2\n"),
+    ("dimacs-huge-n", ["info", "{f}"], b"p edge 1000000000 0\n"),
+    ("graph6-header-only", ["info", "{f}"], b">>graph6<<\n"),
+    ("not-utf8", ["info", "{f}"], b"\xff\xfe\x00"),
+    ("bchrom-empty-graph", ["bchrom", "{f}"], b"?\n"),
+    ("color-vertex-999", ["color", "{hs}", "--vertex", "999"], None),
+    ("color-vertex-neg", ["color", "{hs}", "--vertex", "-1"], None),
+    ("color-no-c6-vertex-999", ["color", "{hs}", "--strategy", "no-c6", "--vertex", "999"], None),
+    ("info-vertex-neg", ["info", "{hs}", "--vertex", "-1"], None),
+    ("info-vertex-77", ["info", "{hs}", "--vertex", "77"], None),
+    ("gen-odd-degree-sum", ["gen", "--family", "random-regular", "--n", "5", "--d", "3"], None),
+    ("gen-degree-n", ["gen", "--family", "random-regular", "--n", "4", "--d", "4"], None),
+    ("gen-cycle-2", ["gen", "--family", "cycle", "--n", "2"], None),
+    ("gen-n-above-cap", ["gen", "--family", "cycle", "--n", "300000"], None),
+    ("cert-superscript-key", ["verify", "{hs}", "{f}"], _rekey("2", "²")),
+    ("cert-keys-01-and-1", ["verify", "{hs}", "{f}"], _alias("1", "01")),
+    ("cert-key-01", ["verify", "{hs}", "{f}"], _rekey("1", "01")),
+    ("cert-bool-vertex", ["verify", "{hs}", "{f}"], _true_for_one),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, content", [pytest.param(a, c, id=i) for i, a, c in BAD_INPUTS]
+)
+def test_bad_input_exit_3(capsys, tmp_path, hs_file, hs_cert_doc, argv, content):
+    f = tmp_path / "input"
+    if callable(content):
+        doc = json.loads(json.dumps(hs_cert_doc))
+        content(doc)
+        content = json.dumps(doc).encode()
+    if content is not None:
+        f.write_bytes(content)
+    argv = [a.format(hs=hs_file, f=f) for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_every_error_class_has_an_exit_code():
+    import inspect
+
+    from bchrome import errors
+
+    for _, cls in inspect.getmembers(errors, inspect.isclass):
+        if issubclass(cls, errors.BchromeError) and cls is not errors.BchromeError:
+            assert cls.exit_code in (2, 3, 4, 5) and cls.label, cls
+
+
+def test_construction_failure_dumps_stdin_graph(capsys, monkeypatch, tmp_path, hs):
+    import io
+
+    from bchrome import construct
+    from bchrome.errors import ConstructionFailed
+
+    def fail(g, x):
+        raise ConstructionFailed("planted-step", ["a log line"])
+
+    monkeypatch.setitem(construct._STRATEGY_FN, "two-bunch", fail)
+    monkeypatch.chdir(tmp_path)
+    argv = ["color", "-", "--strategy", "two-bunch", "--vertex", "0"]
+    for _ in range(2):
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(hs) + "\n"))
+        code, _, err = run(capsys, argv)
+        assert code == 5
+        assert "construction failed at planted-step" in err
+    dumps = sorted(tmp_path.glob("counterexample-candidate-*.json"))
+    assert len(dumps) == 2
+    for path in dumps:
+        doc = json.loads(path.read_text())
+        assert doc["graph6"] == write_graph6(hs)
+        assert doc["step"] == "planted-step" and doc["log"] == ["a log line"]
+        assert doc["argv"] == argv
+
+
+def _fuzz_cert(rng, doc):
+    junk = [True, False, None, 1.5, -1, 10**30, "7", [], {}, [True], [1.5]]
+    key = rng.choice(sorted(doc))
+    choice = rng.randrange(5)
+    if choice == 0:
+        del doc[key]
+    elif choice == 1:
+        doc[key + "_"] = doc.pop(key)
+    elif choice == 2:
+        doc[key] = rng.choice(junk)
+    elif choice == 3:
+        cls = rng.choice(sorted(doc["b_vertices"]))
+        new = rng.choice(["0" + cls, " " + cls, "+" + cls, cls + ".0", "²", "-1", "9" * 30])
+        doc["b_vertices"][new] = doc["b_vertices"].pop(cls)
+    else:
+        arr = rng.choice(["colors", "neighbor_order", "row_order"])
+        i = rng.randrange(len(doc[arr]))
+        doc[arr][i] = rng.choice(junk)
+    text = json.dumps(doc).encode()
+    if rng.random() < 0.2:
+        i = rng.randrange(len(text))
+        text = text[:i] + bytes([rng.randrange(256)]) + text[i + 1:]
+    return text
+
+
+def _fuzz_graph(rng, text):
+    data = bytearray(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.randrange(3)
+        if op == 0 and data:
+            del data[min(i, len(data) - 1)]
+        elif op == 1:
+            data.insert(i, rng.randrange(256))
+        elif data:
+            data[min(i, len(data) - 1)] = rng.choice(b"0123456789 \n-pe?~\xff")
+    return bytes(data)
+
+
+def test_fuzz_whole_cli_runs(capsys, monkeypatch, tmp_path, hs_file, hs_cert_doc, pet):
+    import random
+
+    rng = random.Random(7)
+    monkeypatch.chdir(tmp_path)  # a dump, if any, lands here
+    f = tmp_path / "input"
+    codes = set()
+
+    def call(argv):
+        try:
+            code = main(argv)
+        finally:
+            capsys.readouterr()
+        assert code in range(6), argv
+        codes.add(code)
+
+    for _ in range(120):
+        f.write_bytes(_fuzz_cert(rng, json.loads(json.dumps(hs_cert_doc))))
+        call(["verify", hs_file, str(f)])
+    seeds = [write_graph6(pet).encode() + b"\n", write_dimacs(pet).encode()]
+    for _ in range(300):
+        f.write_bytes(_fuzz_graph(rng, rng.choice(seeds)))
+        call([rng.choice(["info", "hypcheck"]), str(f)])
+    f.write_bytes(seeds[0])
+    values = ["0", "9", "10", "-1", "-11", str(10**20), "abc", "1.5", "", "0x1", " 3", "٣"]
+    for value in values:
+        call(["info", str(f), "--vertex", value])
+        call(["color", str(f), "--vertex", value])
+    assert {0, 1, 2, 3} <= codes

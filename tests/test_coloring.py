@@ -12,7 +12,7 @@ from bchrome.coloring import (
     is_proper,
     verify_certificate,
 )
-from bchrome.errors import CompletionFailedError, NotTotalError
+from bchrome.errors import CompletionFailedError, ConstructionFailed, NotTotalError
 from bchrome.generators import cycle, hoffman_singleton, petersen
 from bchrome.graph import build_graph
 
@@ -26,7 +26,7 @@ def test_assign_rejects_out_of_range(pet):
 def test_assign_rejects_clash(pet):
     c = PartialColoring(10, 3)
     c.assign(0, 1, pet)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConstructionFailed):
         c.assign(1, 1, pet)
 
 
@@ -119,6 +119,7 @@ def test_verify_accepts_constructed(hs):
         ("girth", 6, "FingerprintMismatch"),
         ("center", 99, "BadCenter"),
         ("neighbor_order", list(range(7)), "BadNeighborOrder"),
+        ("k", 10**30, "WrongColorCount"),  # must not size anything by k
     ],
 )
 def test_verify_rejects_bad_fields(hs, field, value, reason):

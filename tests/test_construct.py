@@ -219,10 +219,6 @@ def test_hypothesis_report_hs(hs):
         assert vr.closed_bunch_count == 7
 
 
-def test_hypothesis_report_threads_agree(hs):
-    assert hypothesis_report(hs, threads=4).to_dict() == hypothesis_report(hs).to_dict()
-
-
 def test_auto_color_hs(hs):
     cert = auto_color(hs)
     assert cert.strategy == "two-bunch"

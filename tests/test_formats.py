@@ -63,6 +63,8 @@ def test_graph6_rejects():
         parse_graph6("B~")  # nonzero padding bits for n=3
     with pytest.raises(MalformedGraph6):
         parse_graph6("~~????")  # 8-byte length form unsupported
+    with pytest.raises(MalformedGraph6):
+        parse_graph6(">>graph6<<")  # header without a graph
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,6 +96,8 @@ def test_dimacs_parses_comments_and_col():
         "p edge 3 1\ne 1\n",
         "p edge 3 1\nq 1 2\n",
         "",
+        "p edge 3 2\ne 1 1\ne 1 2\n",  # self-loop
+        "p edge 1000000000 0\n",  # above the vertex cap; rejected before allocating
     ],
 )
 def test_dimacs_rejects(text):
@@ -149,6 +153,13 @@ def test_certificate_round_trip(hs):
         lambda d: d.update(b_vertices={"1": "v"}),
         lambda d: d.update(center="0"),
         lambda d: d.update(provenance=7),
+        lambda d: d.update(version=True),
+        lambda d: d.update(version=1.0),
+        lambda d: d.update(neighbor_order=[True] + d["neighbor_order"][1:]),
+        lambda d: d.update(row_order=[[False]]),
+        lambda d: d.update(b_vertices={"01": 1}),
+        lambda d: d.update(b_vertices={"²": 1}),
+        lambda d: d.update(b_vertices={"1" * 30: 1}),
     ],
 )
 def test_certificate_schema_rejects(hs, mutate):
@@ -172,3 +183,13 @@ def test_certificate_rejects_color_out_of_range(hs):
 def test_certificate_rejects_non_json():
     with pytest.raises(SchemaViolation):
         read_certificate("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 1, "n": 2}', "[" * 100_000, '{"n": 1' + "0" * 5000 + "}"],
+    ids=["duplicate-key", "deep-nesting", "5000-digit-int"],
+)
+def test_certificate_rejects_json_python_cannot_hold(text):
+    with pytest.raises(SchemaViolation):
+        read_certificate(text)

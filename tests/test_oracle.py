@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchrome.errors import FamilyTooLarge
-from bchrome.generators import cycle, petersen
+from bchrome.generators import cycle, hoffman_singleton, petersen
 from bchrome.graph import build_graph, count_c6_through_vertex
 from bchrome.oracle import (
     BUDGET,
@@ -67,6 +67,22 @@ def test_star_has_low_b_chromatic():
 def test_budget_reports_budget(pet):
     res = b_coloring_exists(pet, 4, SearchLimits(max_nodes=3, time_budget=60))
     assert res.status == BUDGET
+
+
+@pytest.mark.parametrize(
+    "graph, k, nodes, status",
+    [(petersen, 4, 551, NO), (hoffman_singleton, 8, 43, YES)],
+)
+def test_node_count_is_pinned(graph, k, nodes, status):
+    # --node-budget counts these nodes: the search needs exactly `nodes`
+    g = graph()
+    assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes)).status == status
+    assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes - 1)).status == BUDGET
+
+
+def test_search_depth_not_bounded_by_recursion_limit():
+    res = exact_b_chromatic(cycle(1200))
+    assert res.value == 3 and res.exact
 
 
 def test_witnesses_verify_on_random_graphs():
