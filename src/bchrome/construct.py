@@ -30,11 +30,13 @@ from .graph import (
     Graph,
     BunchStructure,
     bunches,
+    closed_bunch_indices,
     closed_bunches,
     count_c6_in_n2,
     count_c6_through_vertex,
     girth,
-    s2_degree,
+    second_sphere,
+    short_girth,
     sphere,
 )
 from .transversal import color_bunch
@@ -46,17 +48,20 @@ def _require_regular_girth5(g: Graph, min_girth_exact: bool = True) -> int:
         raise PreconditionViolated("graph is not regular")
     if d < 7:
         raise PreconditionViolated(f"d = {d} < 7")
-    gth = girth(g)
+    gth = short_girth(g)
     if min_girth_exact:
         if gth != 5:
-            raise PreconditionViolated(f"girth = {gth} != 5")
+            # short_girth reads inf above 5; the message names the girth.
+            raise PreconditionViolated(f"girth = {girth(g)} != 5")
     elif gth < 5:
         raise PreconditionViolated(f"girth = {gth} < 5")
     return d
 
 
-def _fingerprint(g: Graph) -> tuple[int, int, int, int]:
-    return g.n, g.m, g.regular_degree(), int(girth(g))
+def _s2_degrees(g: Graph, x: int) -> dict[int, int]:
+    """Each S2(x) vertex's number of neighbors inside S2(x)."""
+    s2 = second_sphere(g, x)
+    return {v: len(g.adj[v] & s2) for v in s2}
 
 
 def _seed_center(c: PartialColoring, g: Graph, bs: BunchStructure) -> None:
@@ -211,8 +216,7 @@ def color_no_c6(g: Graph, x: int) -> Certificate:
     d = _require_regular_girth5(g)
     if count_c6_through_vertex(g, x) != 0:
         raise PreconditionViolated(f"vertex {x} lies on a 6-cycle")
-    s2 = sphere(g, x, 2)
-    if any(s2_degree(g, x, v) > 1 for v in s2):
+    if any(p > 1 for p in _s2_degrees(g, x).values()):
         raise PreconditionViolated(
             "some S2 vertex has two neighbors inside S2"
         )
@@ -235,16 +239,14 @@ def order_by_degree_sequences(g: Graph, x: int) -> list[int]:
     neighbors are sorted with larger sequences first (reverse
     lexicographic), ties broken by ascending identifier.
     """
-    if girth(g) < 5:
+    if short_girth(g) < 5:
         raise GirthTooSmallError("degree-sequence ordering needs girth >= 5")
-    s2 = sphere(g, x, 2)
+    return _order_by_degree_sequences(g, x, _s2_degrees(g, x))
+
+
+def _order_by_degree_sequences(g: Graph, x: int, s2deg: dict[int, int]) -> list[int]:
     def seq(xi: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(
-                (sum(1 for w in g.adj[v] if w in s2) for v in g.adj[xi] if v != x),
-                reverse=True,
-            )
-        )
+        return tuple(sorted((s2deg[v] for v in g.adj[xi] if v != x), reverse=True))
     return sorted(g.adj[x], key=lambda xi: (tuple(-e for e in seq(xi)), xi))
 
 
@@ -252,11 +254,12 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
     """b-coloring with d+1 colors when x lies on at most five 6-cycles
     inside G[N2[x]]."""
     d = _require_regular_girth5(g)
-    cnt = count_c6_in_n2(g, x)
+    s2deg = _s2_degrees(g, x)
+    # count_c6_in_n2's closed formula, over the degrees already at hand
+    cnt = sum(p * (p - 1) // 2 for p in s2deg.values())
     if cnt > 5:
         raise PreconditionViolated(f"{cnt} > 5 six-cycles through {x} in N2[x]")
-    s2 = sphere(g, x, 2)
-    degs = sorted((s2_degree(g, x, v) for v in s2), reverse=True)
+    degs = sorted(s2deg.values(), reverse=True)
     high = [p for p in degs if p > 1]
     # Degree split implied by sum C(p,2) <= 5: either all high degrees are 2
     # (at most five of them), or one 3 and at most two 2s.
@@ -268,7 +271,7 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
         raise ConstructionFailed(
             f"bounded-c6: S2 degree multiset {high} inconsistent with the C6 bound"
         )
-    order = order_by_degree_sequences(g, x)
+    order = _order_by_degree_sequences(g, x, s2deg)
     bs = bunches(g, x, order)
     c = lemma_extension(g, x, order)
     for t in range(5, d + 1):
@@ -293,17 +296,16 @@ def _make_certificate(
     for i, xi in enumerate(bs.neighbor_order, start=1):
         b_vertices[i] = xi
     b_vertices.update(dict_extra_b)
-    n, m, deg, gth = _fingerprint(g)
     return Certificate(
         strategy=strategy,
         center=bs.center,
         neighbor_order=list(bs.neighbor_order),
         colors=[c.color(v) for v in range(g.n)],
         b_vertices=b_vertices,
-        n=n,
-        m=m,
-        d=deg,
-        girth=gth,
+        n=g.n,
+        m=g.m,
+        d=d,
+        girth=5,  # every strategy starts from _require_regular_girth5
         k=d + 1,
         row_order=row_order,
     )
@@ -362,8 +364,9 @@ def order_two_bunch(
     used as columns 1 and d; by default the two lowest such neighbors.
     """
     d = _require_regular_girth5(g)
-    closed = closed_bunches(g, x)
     default_bs = bunches(g, x)
+    s2 = second_sphere(g, x)
+    closed = closed_bunch_indices(g, default_bs, s2)
     closed_attach = [default_bs.neighbor_order[i] for i in closed]
     if a is None or b is None:
         if len(closed_attach) < 2:
@@ -375,7 +378,6 @@ def order_two_bunch(
         raise PreconditionViolated("chosen bunches are not two distinct closed bunches")
 
     log: list[str] = []
-    s2 = sphere(g, x, 2)
     bunch_sets = {xi: g.adj[xi] - {x} for xi in g.adj[x]}
     col_of = {v: xi for xi in g.adj[x] for v in bunch_sets[xi]}
     A, B = bunch_sets[a], bunch_sets[b]
@@ -706,29 +708,31 @@ class HypothesisReport:
         }
 
 
+def vertex_census(g: Graph, x: int, d: int | None, gth: float) -> VertexReport:
+    """The hypotheses the strategies need at x, for a graph whose common
+    degree (None if irregular) and girth the caller has computed."""
+    girth_ok = gth >= 5
+    c6t = count_c6_through_vertex(g, x)
+    c6n2 = count_c6_in_n2(g, x) if girth_ok else None
+    cb = len(closed_bunches(g, x)) if girth_ok else None
+    vr = VertexReport(x, c6t, c6n2, cb)
+    if d is not None and d >= 7 and gth == 5:
+        if c6t == 0:
+            vr.strategies.append("no-c6")
+        if c6n2 is not None and c6n2 <= 5:
+            vr.strategies.append("bounded-c6")
+        if cb is not None and cb >= 2:
+            vr.strategies.append("two-bunch")
+    return vr
+
+
 def hypothesis_report(g: Graph) -> HypothesisReport:
     """Per-vertex census of the hypotheses the strategies need, plus the
     scope flags of the d >= 7 regime (including the n <= 2d^3-2d^2+2d-1
     bound below which the conjecture is still open)."""
     d = g.regular_degree()
     gth = girth(g)
-    girth_ok = gth >= 5
-
-    def census(x: int) -> VertexReport:
-        c6t = count_c6_through_vertex(g, x)
-        c6n2 = count_c6_in_n2(g, x) if girth_ok else None
-        cb = len(closed_bunches(g, x)) if girth_ok else None
-        vr = VertexReport(x, c6t, c6n2, cb)
-        if d is not None and d >= 7 and gth == 5:
-            if c6t == 0:
-                vr.strategies.append("no-c6")
-            if c6n2 is not None and c6n2 <= 5:
-                vr.strategies.append("bounded-c6")
-            if cb is not None and cb >= 2:
-                vr.strategies.append("two-bunch")
-        return vr
-
-    per_vertex = [census(x) for x in range(g.n)]
+    per_vertex = [vertex_census(g, x, d, gth) for x in range(g.n)]
     has_c6 = any(vr.c6_through > 0 for vr in per_vertex)
     flags = {
         "regular": d is not None,

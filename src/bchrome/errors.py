@@ -3,7 +3,8 @@
 Every error carries the CLI exit code it ends in, from one base per code:
 
 - 2 ``PreconditionViolated``: the input lies outside a strategy's hypotheses;
-- 3 ``BadInput``: malformed or out-of-range input (also a ``ValueError``);
+- 3 ``BadInput``: malformed or out-of-range input (also a ``ValueError``),
+  or an output file that cannot be written;
 - 4 ``GenerationFailed``: the random generator ran out of attempts;
 - 5 ``ConstructionFailed``: a step the theorems guarantee found nothing, so
   the input is a counterexample candidate (or the code has a bug).
@@ -63,6 +64,12 @@ class NotTotalError(BadInput):
 
 class FamilyTooLarge(BadInput):
     pass
+
+
+class CannotWriteOutput(BadInput):
+    """An output file (``color --out``) could not be written."""
+
+    label = "cannot write output"
 
 
 class MalformedGraph6(BadInput):

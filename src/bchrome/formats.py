@@ -15,6 +15,12 @@ _MAX_SHORT_N = 62
 MAX_N = 258047
 
 
+# Any character outside the printable graph6 range '?'..'~' (63..126).
+_G6_BAD_CHAR = re.compile(r"[^?-~]")
+# str.translate table: each graph6 character to its six data bits.
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line: header byte(s) then column-major upper-triangle
     bits, 6 per character, zero-padded."""
@@ -25,9 +31,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
         if not s:
             raise MalformedGraph6(len(">>graph6<<"), "empty input")
-    for pos, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise MalformedGraph6(pos, f"byte {ord(ch)} outside graph6 range")
+    bad = _G6_BAD_CHAR.search(s)
+    if bad is not None:
+        pos = bad.start()
+        raise MalformedGraph6(pos, f"byte {ord(s[pos])} outside graph6 range")
     if s[0] == "~":
         if len(s) < 4:
             raise MalformedGraph6(len(s), "truncated extended header")
@@ -44,20 +51,23 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise MalformedGraph6(len(s), f"expected {need} body chars, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise MalformedGraph6(len(s) - 1, "nonzero padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return build_graph(n, edges)
+    # Bit k is the pair (i, j), i < j, of column j, which holds bits
+    # base..base+j-1 with base = j(j-1)/2.  Edges are added in bit order.
+    adj: list[set[int]] = [set() for _ in range(n)]
+    j, base = 1, 0
+    k = bits.find("1", 0, nbits)
+    while k >= 0:
+        while k >= base + j:
+            base += j
+            j += 1
+        i = k - base
+        adj[i].add(j)
+        adj[j].add(i)
+        k = bits.find("1", k + 1, nbits)
+    return Graph(n, adj)
 
 
 def write_graph6(g: Graph) -> str:

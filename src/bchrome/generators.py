@@ -169,13 +169,15 @@ def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) 
 
     Hill-climbs on the short-cycle count, accepting plateau moves; one edge
     of a shortest short cycle is always an endpoint of the swap so plateau
-    moves still shuffle the offending structure.
+    moves still shuffle the offending structure.  The count covers lengths
+    3 and 4 only, so a zero count ends the search only when girth_min <= 5;
+    above that, the search runs until no cycle shorter than girth_min is left.
     """
     if girth_min <= 3:
         return True
     score = _short_cycle_score(g, girth_min)
     for _ in range(budget):
-        if score == 0:
+        if score == 0 and girth_min <= 5:
             return True
         cyc = _short_cycle(g, girth_min)
         if cyc is None:

@@ -134,6 +134,36 @@ def girth(g: Graph) -> float:
     return best
 
 
+def short_girth(g: Graph) -> float:
+    """The girth when it is at most 5, else inf, from radius-2 set tests.
+
+    At each vertex v: a bunch N(u) \\ {v} (u in N(v)) meeting N(v) closes
+    a triangle, and two bunches meeting close a 4-cycle.  Without those,
+    S2(v) is the disjoint union of the bunches, and an edge inside S2(v)
+    closes a 5-cycle through v (or a triangle, when both ends share a
+    bunch).  A shortest cycle of length <= 5 is found at each of its
+    vertices, and no test reports a length below the girth, so the minimum
+    over all v is exact.
+    """
+    best = INF
+    for v in range(g.n):
+        nv = g.adj[v]
+        s2: set[int] = set()
+        total = 0
+        for u in nv:
+            au = g.adj[u]
+            if not au.isdisjoint(nv):
+                return 3
+            s2 |= au
+            total += len(au) - 1
+        s2.discard(v)
+        if len(s2) != total:
+            best = 4
+        elif best > 5 and any(not g.adj[w].isdisjoint(s2) for w in s2):
+            best = 5
+    return best
+
+
 @dataclass
 class BunchStructure:
     """Ordered bunches around a center vertex.
@@ -258,12 +288,32 @@ def count_c6_through_vertex(g: Graph, x: int) -> int:
     return count
 
 
+def second_sphere(g: Graph, x: int) -> set[int]:
+    """S2(x), the vertices at distance exactly 2 from x, read from the
+    neighbors' adjacency sets; the same set as sphere(g, x, 2) without a
+    BFS over the whole graph."""
+    g.check_vertex(x)
+    nx = g.adj[x]
+    s2: set[int] = set()
+    for u in nx:
+        s2 |= g.adj[u]
+    s2 -= nx
+    s2.discard(x)
+    return s2
+
+
 def closed_bunches(g: Graph, x: int) -> list[int]:
     """0-based indices of bunches whose vertices keep all neighbors in N2(x)."""
     if girth(g) < 5:
         raise GirthTooSmallError("closed bunches need girth >= 5")
-    bs = bunches(g, x)
-    n2 = set(g.adj[x]) | sphere(g, x, 2)
+    return closed_bunch_indices(g, bunches(g, x), sphere(g, x, 2))
+
+
+def closed_bunch_indices(g: Graph, bs: BunchStructure, s2: set[int]) -> list[int]:
+    """closed_bunches for a caller that already holds the bunches and S2 of
+    the center and has proved girth >= 5 itself."""
+    x = bs.center
+    n2 = set(g.adj[x]) | s2
     out = []
     for i, bunch in enumerate(bs.bunches):
         if all(g.adj[v] - {x} <= n2 for v in bunch):

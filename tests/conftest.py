@@ -24,6 +24,38 @@ def c5():
     return cycle(5)
 
 
+def projective_plane_incidence(q: int) -> Graph:
+    """Point-line incidence graph of PG(2, q), q prime: (q+1)-regular on
+    2(q^2+q+1) vertices, girth 6.  Points and lines are the nonzero vectors
+    of GF(q)^3 whose first nonzero entry is 1; point p (vertex i) lies on
+    line l (vertex N + j) when p . l = 0 mod q."""
+    vecs = [
+        (a, b, c)
+        for a in range(q) for b in range(q) for c in range(q)
+        if (a, b, c) != (0, 0, 0) and next(e for e in (a, b, c) if e) == 1
+    ]
+    n = len(vecs)
+    adj = [set() for _ in range(2 * n)]
+    for i, p in enumerate(vecs):
+        for j, l in enumerate(vecs):
+            if sum(x * y for x, y in zip(p, l)) % q == 0:
+                adj[i].add(n + j)
+                adj[n + j].add(i)
+    return Graph(2 * n, adj)
+
+
+@pytest.fixture(scope="session")
+def heawood():
+    """The (3,6)-cage: 3-regular, girth 6, 14 vertices."""
+    return projective_plane_incidence(2)
+
+
+@pytest.fixture(scope="session")
+def pg27():
+    """Incidence graph of PG(2,7): 8-regular, girth 6, 114 vertices."""
+    return projective_plane_incidence(7)
+
+
 def synthetic_bunch_graph(d: int, seed: int, match_prob: float = 0.9) -> Graph:
     """Star of d bunches around vertex 0 plus a random partial matching on
     the union of the bunches, so every vertex has at most one neighbor at

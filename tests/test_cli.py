@@ -182,6 +182,8 @@ BAD_INPUTS = [
     ("cert-keys-01-and-1", ["verify", "{hs}", "{f}"], _alias("1", "01")),
     ("cert-key-01", ["verify", "{hs}", "{f}"], _rekey("1", "01")),
     ("cert-bool-vertex", ["verify", "{hs}", "{f}"], _true_for_one),
+    ("color-out-missing-dir",
+     ["color", "{hs}", "--strategy", "two-bunch", "--vertex", "0", "--out", "{f}/c.json"], None),
 ]
 
 
@@ -201,6 +203,15 @@ def test_bad_input_exit_3(capsys, tmp_path, hs_file, hs_cert_doc, argv, content)
     assert code == 3
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_failed_out_write_is_named_as_a_write(capsys, tmp_path, hs_file):
+    target = tmp_path / "missing-dir" / "c.json"
+    argv = ["color", hs_file, "--strategy", "two-bunch", "--vertex", "0", "--out", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("cannot write output: [Errno 2] ")
+    assert not target.parent.exists()
 
 
 def test_every_error_class_has_an_exit_code():
@@ -307,3 +318,84 @@ def test_fuzz_whole_cli_runs(capsys, monkeypatch, tmp_path, hs_file, hs_cert_doc
         call(["info", str(f), "--vertex", value])
         call(["color", str(f), "--vertex", value])
     assert {0, 1, 2, 3} <= codes
+
+
+def _sha16(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# First 16 hex digits of the sha256 of stdout, recorded before info and
+# color --vertex were moved onto construct.vertex_census.
+CENSUS_JSON_DIGESTS = {
+    ("hs", "info"): "e70eb7bde5c44fb2",
+    ("hs", "info --vertex 3"): "0842ffa317a2acf7",
+    ("hs", "hypcheck"): "edd759450d0c0cce",
+    ("pet", "info"): "23ca8b9b2e69e998",
+    ("pet", "info --vertex 3"): "9d497a029200271e",
+    ("pet", "hypcheck"): "f3a36cba2e84310a",
+}
+
+
+@pytest.mark.parametrize("graph, cmd", sorted(CENSUS_JSON_DIGESTS))
+def test_census_json_is_unchanged(capsys, hs_file, pet_file, graph, cmd):
+    path = {"hs": hs_file, "pet": pet_file}[graph]
+    words = cmd.split()
+    code, out, _ = run(capsys, [words[0], path] + words[1:])
+    assert code == 0
+    assert _sha16(out) == CENSUS_JSON_DIGESTS[graph, cmd]
+
+
+def test_color_vertex_auto_censuses_only_that_vertex(capsys, monkeypatch, hs_file):
+    from bchrome import construct
+
+    seen = []
+    census = construct.vertex_census
+
+    def spy(g, x, d, gth):
+        seen.append(x)
+        return census(g, x, d, gth)
+
+    def no_full_census(g):
+        raise AssertionError("full census run for one vertex")
+
+    monkeypatch.setattr(construct, "vertex_census", spy)
+    monkeypatch.setattr(construct, "hypothesis_report", no_full_census)
+    code, out, _ = run(capsys, ["color", hs_file, "--vertex", "17"])
+    assert code == 0 and seen == [17]
+    assert out.startswith("strategy: two-bunch  center: 17  k: 8")
+
+
+@pytest.mark.parametrize("strategy", ["no-c6", "bounded-c6", "two-bunch"])
+def test_color_refuses_girth_6(capsys, tmp_path, pg27, strategy):
+    # PG(2,7)'s incidence graph is 8-regular with girth 6: the local girth
+    # test reads "above 5", and the message still names the girth.
+    f = tmp_path / "pg27.g6"
+    f.write_text(write_graph6(pg27) + "\n")
+    code, out, err = run(capsys, ["color", str(f), "--strategy", strategy, "--vertex", "0"])
+    assert code == 2 and out == ""
+    assert err == "not applicable: girth = 6 != 5\n"
+
+
+def _gen(capsys, *args):
+    code, out, _ = run(capsys, ["gen", "--family", "random-regular"] + list(args))
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gen_meets_girth_min_above_5(capsys, seed):
+    from bchrome.graph import girth
+
+    out = _gen(capsys, "--n", "40", "--d", "3", "--girth-min", "6", "--seed", str(seed))
+    g = parse_graph6(out)
+    assert g.regular_degree() == 3 and girth(g) >= 6
+
+
+def test_gen_girth_min_5_output_is_unchanged(capsys):
+    # recorded before girth_min above 5 was honoured; the random desk
+    # graphs depend on these bytes
+    assert _sha16(_gen(capsys, "--n", "40", "--d", "3", "--seed", "0")) == "e5effe53e0ae76c5"
+    assert _sha16(_gen(capsys, "--n", "40", "--d", "3", "--seed", "1")) == "94c20a3c01477bd1"
+    assert _sha16(_gen(capsys, "--n", "30", "--d", "4", "--seed", "2")) == "5a6dea0b11b9467e"

@@ -120,6 +120,9 @@ def test_verify_accepts_constructed(hs):
         ("center", 99, "BadCenter"),
         ("neighbor_order", list(range(7)), "BadNeighborOrder"),
         ("k", 10**30, "WrongColorCount"),  # must not size anything by k
+        ("girth", 4, "FingerprintMismatch"),
+        ("girth", 3, "FingerprintMismatch"),
+        ("girth", 0, "FingerprintMismatch"),
     ],
 )
 def test_verify_rejects_bad_fields(hs, field, value, reason):
@@ -167,3 +170,29 @@ def test_verify_rejects_missing_class(hs):
     cert = make_cert(hs)
     del cert.b_vertices[3]
     assert verify_certificate(cert, hs).reason == "MissingClass"
+
+
+def _witness_cert(g, k, gth):
+    """Certificate for the oracle's b-coloring of g with k colors, each class
+    claiming its lowest b-vertex, with the given girth claim."""
+    from bchrome.oracle import b_coloring_exists
+
+    res = b_coloring_exists(g, k)
+    assert res.exists
+    c = PartialColoring(g.n, k, res.coloring)
+    claims = {cls: min(v for v in b_vertices(c, g) if c.color(v) == cls)
+              for cls in range(1, k + 1)}
+    return Certificate(
+        strategy="oracle", center=claims[1], neighbor_order=sorted(g.adj[claims[1]]),
+        colors=list(res.coloring), b_vertices=claims, n=g.n, m=g.m,
+        d=g.regular_degree(), girth=gth, k=k,
+    )
+
+
+def test_verify_girth_claims_on_girth_6_graph(heawood):
+    # The local test covers claims 3..5 and must still see girth 6 as
+    # "none of them"; a claim of 6 or more takes the full BFS.
+    assert verify_certificate(_witness_cert(heawood, 4, 6), heawood).ok
+    for claim in (3, 4, 5, 7):
+        res = verify_certificate(_witness_cert(heawood, 4, claim), heawood)
+        assert res.reason == "FingerprintMismatch", claim

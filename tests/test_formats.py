@@ -67,6 +67,51 @@ def test_graph6_rejects():
         parse_graph6(">>graph6<<")  # header without a graph
 
 
+PET6 = "IheA@GUAo"  # Petersen
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("\x01??", 0, "byte 1 outside graph6 range"),
+        (PET6[:4] + " " + PET6[5:], 4, "byte 32 outside graph6 range"),
+        (PET6[:2] + "\u00e9" + PET6[3:], 2, "byte 233 outside graph6 range"),
+        (">>graph6<<" + PET6[:3] + "\x7f", 3, "byte 127 outside graph6 range"),
+        ("~??", 3, "truncated extended header"),
+        ("~~????", 1, "8-byte length form unsupported"),
+        ("D", 1, "expected 2 body chars, got 0"),
+        (PET6 + "?", 10, "expected 8 body chars, got 9"),
+        ("B~", 1, "nonzero padding bits"),
+        (PET6[:-1] + "p", 8, "nonzero padding bits"),
+        ("", 0, "empty input"),
+        (">>graph6<<", 10, "empty input"),
+    ],
+    ids=["bad-byte-0", "bad-byte-mid-body", "non-ascii", "bad-byte-after-prefix",
+         "truncated-long-header", "8-byte-form", "short-body", "long-body",
+         "padding-n3", "padding-petersen", "empty", "prefix-only"],
+)
+def test_graph6_reject_position_and_message(text, position, message):
+    with pytest.raises(MalformedGraph6) as exc:
+        parse_graph6(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"malformed graph6 at position {position}: {message}"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 400])
+def test_graph6_round_trip_sizes(n):
+    for p in (0.0, 0.02, 0.5, 1.0):
+        g = random_graph(n, p, n)
+        enc = write_graph6(g)
+        assert enc.startswith("~") == (n > 62)
+        back = parse_graph6(enc)
+        assert back == g
+        # Edges are added in the column-major bit order, so the adjacency
+        # sets iterate exactly as build_graph's would.
+        column_major = [(i, j) for j in range(n) for i in range(j) if g.has_edge(i, j)]
+        ref = build_graph(n, column_major)
+        assert [list(a) for a in back.adj] == [list(a) for a in ref.adj]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_graph6_round_trip_random(seed):

@@ -17,6 +17,7 @@ from bchrome.graph import (
     backward_degree,
     build_graph,
     bunches,
+    closed_bunch_indices,
     closed_bunches,
     count_c6_in_n2,
     count_c6_through_vertex,
@@ -25,6 +26,8 @@ from bchrome.graph import (
     induced_subgraph,
     relabel,
     s2_degree,
+    second_sphere,
+    short_girth,
     sphere,
 )
 from bchrome.oracle import enumerate_c6_through
@@ -88,6 +91,60 @@ def test_girth_matches_networkx(seed):
     h = nx.Graph(g.edges())
     h.add_nodes_from(range(g.n))
     assert girth(g) == nx.girth(h)
+
+
+def _short(gth):
+    """What short_girth must read for a graph of girth gth."""
+    return gth if gth <= 5 else math.inf
+
+
+def test_short_girth_named_graphs(pet, hs, heawood):
+    k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    path = build_graph(5, [(i, i + 1) for i in range(4)])
+    named = [(f"C{n}", cycle(n)) for n in range(3, 10)]
+    named += [("K4", k4), ("Petersen", pet), ("HS", hs), ("Heawood", heawood),
+              ("path", path), ("empty", build_graph(0, []))]
+    for name, g in named:
+        assert short_girth(g) == _short(girth(g)), name
+    assert short_girth(heawood) == math.inf and girth(heawood) == 6
+
+
+def _mixed_graph(seed):
+    """Seeded graphs of every girth class: sparse G(n, p), random cubic
+    graphs of girth >= 5 and >= 6, and a cycle with one chord."""
+    import random
+
+    rng = random.Random(seed)
+    kind = seed % 5
+    n = rng.randrange(8, 25)
+    if kind < 2:
+        return random_graph(n, 1.6 / n, seed)
+    if kind < 4:
+        return random_regular_girth(GenSpec(n=2 * n, d=3, girth_min=kind + 3, seed=seed))
+    a = rng.randrange(2, n - 1)
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, a)])
+
+
+def test_short_girth_random_graphs():
+    seen = set()
+    for seed in range(50):
+        g = _mixed_graph(seed)
+        seen.add(girth(g))
+        assert short_girth(g) == _short(girth(g)), seed
+    assert {3, 4, 5, 6, math.inf} <= seen
+
+
+def test_second_sphere_matches_bfs_sphere(pet, hs, heawood):
+    for g in (pet, hs, heawood, random_graph(30, 0.1, 4)):
+        for x in range(g.n):
+            assert second_sphere(g, x) == sphere(g, x, 2)
+
+
+def test_closed_bunch_indices_match_closed_bunches(pet, no_c6_instance):
+    for g in (pet, no_c6_instance):
+        for x in range(0, g.n, 7):
+            bs = bunches(g, x)
+            assert closed_bunch_indices(g, bs, second_sphere(g, x)) == closed_bunches(g, x)
 
 
 def test_sphere_petersen(pet):
