@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import sys
@@ -23,7 +24,6 @@ from .errors import (
     CannotWriteOutput,
     ConstructionFailed,
     NoStrategyApplies,
-    PreconditionViolated,
 )
 from .formats import (
     MAX_N,
@@ -128,33 +128,18 @@ def _print_b_table(cert) -> None:
 
 
 def _cmd_color(args, g: Graph) -> int:
-    if args.strategy == "auto":
-        if args.vertex is not None:
-            vr = construct.vertex_census(g, args.vertex, g.regular_degree(), girth(g))
-            if not vr.strategies:
-                raise NoStrategyApplies({args.vertex: "no strategy applicable"})
-            cert = construct.run_strategy(g, args.vertex, vr.strategies[0])
-        else:
+    if args.vertex is None:
+        if args.strategy == "auto":
             cert = construct.auto_color(g)
-    else:
-        if args.vertex is not None:
-            cert = construct.run_strategy(g, args.vertex, args.strategy)
         else:
-            report = construct.hypothesis_report(g)
-            if report.d is None:
-                raise PreconditionViolated("graph is not regular")
-            if report.d < 7:
-                raise PreconditionViolated(f"d = {report.d} < 7")
-            if report.girth != 5:
-                raise PreconditionViolated(f"girth = {report.girth} != 5")
-            for vr in report.per_vertex:
-                if args.strategy in vr.strategies:
-                    cert = construct.run_strategy(g, vr.vertex, args.strategy)
-                    break
-            else:
-                raise PreconditionViolated(
-                    f"strategy {args.strategy} applies to no vertex"
-                )
+            cert = construct.run_strategy(g, *construct.first_applicable(g, args.strategy))
+    elif args.strategy == "auto":
+        strategies = construct.vertex_strategies(g, args.vertex)
+        if not strategies:
+            raise NoStrategyApplies({args.vertex: "no strategy applicable"})
+        cert = construct.run_strategy(g, args.vertex, strategies[0])
+    else:
+        cert = construct.run_strategy(g, args.vertex, args.strategy)
     # Every strategy returns a certificate it has verified itself.
     if args.out:
         try:
@@ -209,7 +194,11 @@ def _dump_counterexample(g: Graph | None, argv: list[str], e: ConstructionFailed
         return path
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and a build costs more than most commands on small
+    graphs."""
     p = argparse.ArgumentParser(prog="bchrome")
     sub = p.add_subparsers(dest="command", required=True)
 

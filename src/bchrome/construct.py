@@ -42,19 +42,31 @@ from .graph import (
 from .transversal import color_bunch
 
 
-def _require_regular_girth5(g: Graph, min_girth_exact: bool = True) -> int:
+def _graph_precondition(
+    g: Graph, min_girth_exact: bool = True
+) -> tuple[int | None, str | None]:
+    """g's common degree (None if irregular) and why g is not a d-regular
+    graph with d >= 7 and girth 5 (girth >= 5 unless min_girth_exact), or
+    None when it is.  The checks run in that order."""
     d = g.regular_degree()
     if d is None:
-        raise PreconditionViolated("graph is not regular")
+        return d, "graph is not regular"
     if d < 7:
-        raise PreconditionViolated(f"d = {d} < 7")
+        return d, f"d = {d} < 7"
     gth = short_girth(g)
     if min_girth_exact:
         if gth != 5:
             # short_girth reads inf above 5; the message names the girth.
-            raise PreconditionViolated(f"girth = {girth(g)} != 5")
+            return d, f"girth = {girth(g)} != 5"
     elif gth < 5:
-        raise PreconditionViolated(f"girth = {gth} < 5")
+        return d, f"girth = {gth} < 5"
+    return d, None
+
+
+def _require_regular_girth5(g: Graph, min_girth_exact: bool = True) -> int:
+    d, why = _graph_precondition(g, min_girth_exact)
+    if why is not None:
+        raise PreconditionViolated(why)
     return d
 
 
@@ -746,33 +758,49 @@ def hypothesis_report(g: Graph) -> HypothesisReport:
     )
 
 
+def first_applicable(g: Graph, strategy: str | None = None) -> tuple[int, str]:
+    """The first (vertex, strategy) pair the census accepts, scanning
+    vertices ascending and each vertex's strategies in STRATEGIES order;
+    with ``strategy``, the first vertex that lists it.  The census stops at
+    that vertex.
+
+    The graph-level preconditions are checked once, before any census.
+    When no pair is found, auto mode raises NoStrategyApplies with a reason
+    per vertex, and a given strategy raises PreconditionViolated.
+    """
+    d, why = _graph_precondition(g)
+    if why is not None:
+        if strategy is not None:
+            raise PreconditionViolated(why)
+        raise NoStrategyApplies(dict.fromkeys(range(g.n), why))
+    reasons: dict[int, str] = {}
+    for x in range(g.n):
+        vr = vertex_census(g, x, d, 5)
+        if strategy is None and vr.strategies:
+            return x, vr.strategies[0]
+        if strategy in vr.strategies:
+            return x, strategy
+        reasons[x] = (
+            f"c6_through = {vr.c6_through}, c6_in_n2 = {vr.c6_in_n2}, "
+            f"closed_bunches = {vr.closed_bunch_count}"
+        )
+    if strategy is not None:
+        raise PreconditionViolated(f"strategy {strategy} applies to no vertex")
+    raise NoStrategyApplies(reasons)
+
+
+def vertex_strategies(g: Graph, x: int) -> list[str]:
+    """The strategies the census lists at x; none when g fails a
+    graph-level precondition, in which case x is not censused."""
+    d, why = _graph_precondition(g)
+    return [] if why is not None else vertex_census(g, x, d, 5).strategies
+
+
 def auto_color(g: Graph) -> Certificate:
-    """First accepted certificate, scanning vertices ascending and
-    strategies in the order no-c6, bounded-c6, two-bunch.
+    """Certificate from the first applicable (vertex, strategy) pair; see
+    first_applicable.
 
     ConstructionFailed propagates: an applicable vertex where a proof step
     fails is exactly what this tool exists to surface.
     """
-    report = hypothesis_report(g)
-    reasons: dict[int, str] = {}
-    for vr in report.per_vertex:
-        if not vr.strategies:
-            reasons[vr.vertex] = _why_not(report, vr)
-            continue
-        for strategy in STRATEGIES:
-            if strategy in vr.strategies:
-                return run_strategy(g, vr.vertex, strategy)
-    raise NoStrategyApplies(reasons)
-
-
-def _why_not(report: HypothesisReport, vr: VertexReport) -> str:
-    if report.d is None:
-        return "graph is not regular"
-    if report.d < 7:
-        return f"d = {report.d} < 7"
-    if report.girth != 5:
-        return f"girth = {report.girth} != 5"
-    return (
-        f"c6_through = {vr.c6_through}, c6_in_n2 = {vr.c6_in_n2}, "
-        f"closed_bunches = {vr.closed_bunch_count}"
-    )
+    return run_strategy(g, *first_applicable(g))

@@ -206,11 +206,20 @@ def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) 
     return score == 0 and _short_cycle(g, girth_min) is None
 
 
+def moore_bound(d: int, girth: int) -> int:
+    """Fewest vertices a d-regular graph (d >= 2) of girth >= ``girth`` can
+    have: 1 + d * sum_{i < (girth-1)/2} (d-1)^i for odd girth, and
+    2 * sum_{i < girth/2} (d-1)^i for even girth."""
+    k = max(girth // 2, 0)
+    total = k if d == 2 else ((d - 1) ** k - 1) // (d - 2)
+    return 1 + d * total if girth % 2 else 2 * total
+
+
 def random_regular_girth(spec: GenSpec) -> Graph:
     """Configuration-model pairing plus local edge-swap repair of short cycles.
 
-    Deterministic per seed.  Raises GenerationFailed after max_attempts
-    exhausted pairings.
+    Deterministic per seed.  A spec below the Moore bound is BadInput;
+    otherwise raises GenerationFailed after max_attempts exhausted pairings.
     """
     if spec.d < 0:
         raise BadInput("degree must be nonnegative")
@@ -218,6 +227,13 @@ def random_regular_girth(spec: GenSpec) -> Graph:
         raise BadInput("n*d must be even")
     if spec.d >= spec.n:
         raise BadInput("degree must be below n")
+    # The bound grows with the girth and exceeds n at girth n + 1, so the
+    # clamp keeps (d-1)^k small without changing the verdict.
+    if spec.d >= 2 and spec.n < moore_bound(spec.d, min(spec.girth_min, spec.n + 1)):
+        raise BadInput(
+            f"n = {spec.n} is below the Moore bound for d = {spec.d}, "
+            f"girth >= {spec.girth_min}"
+        )
     rng = random.Random(spec.seed)
     for _ in range(spec.max_attempts):
         g = _pairing(spec.n, spec.d, rng)

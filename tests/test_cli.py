@@ -112,6 +112,22 @@ def test_bchrom_budget(capsys, pet_file):
     assert "LowerBoundOnly" in out
 
 
+def test_main_keeps_no_state_between_calls(capsys, hs_file, pet_file):
+    from bchrome.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, ["color", hs_file, "--vertex", "17"])
+    assert code == 0 and "center: 17" in out
+    code, out, _ = run(capsys, ["color", hs_file])
+    assert code == 0 and out.startswith("strategy: two-bunch  center: 0  k: 8")
+    code, out, _ = run(capsys, ["bchrom", pet_file, "--node-budget", "1"])
+    assert code == 4 and "LowerBoundOnly" in out
+    assert run(capsys, ["bchrom", pet_file]) == (0, "3\n", "")
+    code, out, err = run(capsys, ["color", hs_file, "--strategy", "nope"])
+    assert code == 2 and out == "" and err.startswith("usage: bchrome color")
+    assert run(capsys, ["bchrom", pet_file]) == (0, "3\n", "")
+
+
 def test_stdin_dimacs_autodetect(capsys, monkeypatch, pet):
     import io
 
@@ -391,6 +407,19 @@ def test_gen_meets_girth_min_above_5(capsys, seed):
     out = _gen(capsys, "--n", "40", "--d", "3", "--girth-min", "6", "--seed", str(seed))
     g = parse_graph6(out)
     assert g.regular_degree() == 3 and girth(g) >= 6
+
+
+def test_gen_rejects_spec_below_moore_bound(capsys):
+    # a cubic graph of girth 10 needs 62 vertices; the search is never tried
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["gen", "--family", "random-regular", "--n", "40", "--d", "3", "--girth-min", "10"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == "bad input: n = 40 is below the Moore bound for d = 3, girth >= 10\n"
 
 
 def test_gen_girth_min_5_output_is_unchanged(capsys):

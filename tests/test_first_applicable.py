@@ -1,0 +1,196 @@
+"""The first-applicable scan behind `color`: it must pick the pair the full
+census would, and census no vertex past that pair."""
+
+import random
+
+import pytest
+
+from bchrome import construct, graph as graph_mod
+from bchrome.cli import main
+from bchrome.construct import (
+    STRATEGIES,
+    auto_color,
+    first_applicable,
+    hypothesis_report,
+    run_strategy,
+    vertex_strategies,
+)
+from bchrome.errors import BchromeError, NoStrategyApplies, PreconditionViolated
+from bchrome.formats import write_certificate, write_graph6
+from bchrome.graph import Graph, build_graph, girth, relabel
+
+
+@pytest.fixture(scope="module", autouse=True)
+def girth_once_per_graph():
+    """girth() memoised per graph object.  The census calls it twice per
+    vertex, so a full census of the n = 400 graph takes about 20 s without
+    this; the values are girth()'s own."""
+    seen = []  # (graph, girth) pairs; graphs are unhashable
+
+    def memo(g):
+        for h, value in seen:
+            if h is g:
+                return value
+        value = girth(g)
+        seen.append((g, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "girth", memo)
+        mp.setattr(construct, "girth", memo)
+        yield
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+@pytest.fixture(scope="module")
+def scan_graphs(hs, pet, c5, heawood, pg27, no_c6_instance):
+    return {
+        "hs": hs,
+        "hs-relabel-1": _relabelled(hs, 1),
+        "hs-relabel-2": _relabelled(hs, 2),
+        "planted": no_c6_instance,
+        "petersen": pet,
+        "c5": c5,
+        "heawood": heawood,
+        "pg27": pg27,
+        "irregular": build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]),
+        "empty": Graph(0, []),
+    }
+
+
+@pytest.fixture(scope="module")
+def reports(scan_graphs):
+    cache = {}
+
+    def report(name):
+        if name not in cache:
+            cache[name] = hypothesis_report(scan_graphs[name])
+        return cache[name]
+
+    return report
+
+
+def _global_reason(rep):
+    """Why the graph fails the strategies' preconditions, worded as color
+    worded it when it read the full census."""
+    if rep.d is None:
+        return "graph is not regular"
+    if rep.d < 7:
+        return f"d = {rep.d} < 7"
+    if rep.girth != 5:
+        return f"girth = {rep.girth} != 5"
+    return None
+
+
+def _census_reason(rep, vr):
+    return _global_reason(rep) or (
+        f"c6_through = {vr.c6_through}, c6_in_n2 = {vr.c6_in_n2}, "
+        f"closed_bunches = {vr.closed_bunch_count}"
+    )
+
+
+def _outcome(fn):
+    try:
+        cert = fn()
+    except BchromeError as e:
+        return type(e), str(e), getattr(e, "reasons", None)
+    return "certificate", write_certificate(cert)
+
+
+def _expected(g, rep, strategy):
+    """The outcome read off the full census: its first applicable pair, or
+    the error color raised from it."""
+    pairs = [p for p in rep.applicable_pairs() if strategy in (None, p[1])]
+    if pairs:
+        return _outcome(lambda: run_strategy(g, *pairs[0]))
+    if strategy is None:
+        reasons = {vr.vertex: _census_reason(rep, vr) for vr in rep.per_vertex}
+        return NoStrategyApplies, "no coloring strategy applies to any vertex", reasons
+    why = _global_reason(rep) or f"strategy {strategy} applies to no vertex"
+    return PreconditionViolated, why, None
+
+
+GRAPHS = ["hs", "hs-relabel-1", "hs-relabel-2", "planted", "petersen", "c5",
+          "heawood", "pg27", "irregular", "empty"]
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_auto_scan_matches_full_census(scan_graphs, reports, name):
+    g = scan_graphs[name]
+    assert _outcome(lambda: auto_color(g)) == _expected(g, reports(name), None)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_strategy_scan_matches_full_census(scan_graphs, reports, name, strategy):
+    g = scan_graphs[name]
+    actual = _outcome(lambda: run_strategy(g, *first_applicable(g, strategy)))
+    assert actual == _expected(g, reports(name), strategy)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_vertex_strategies_match_full_census(scan_graphs, reports, name):
+    g = scan_graphs[name]
+    rep = reports(name)
+    for v in sorted({0, g.n // 2, g.n - 1} & set(range(g.n))):
+        assert vertex_strategies(g, v) == rep.per_vertex[v].strategies, v
+
+
+@pytest.fixture
+def census_spy(monkeypatch):
+    """Vertices censused from here on; a full census fails the test."""
+    seen = []
+    census = construct.vertex_census
+
+    def spy(g, x, d, gth):
+        seen.append(x)
+        return census(g, x, d, gth)
+
+    def no_full_census(g):
+        raise AssertionError("color ran the full census")
+
+    monkeypatch.setattr(construct, "vertex_census", spy)
+    monkeypatch.setattr(construct, "hypothesis_report", no_full_census)
+    return seen
+
+
+def _color(capsys, tmp_path, g, *args):
+    f = tmp_path / "g.g6"
+    f.write_text(write_graph6(g) + "\n")
+    code = main(["color", str(f), *args])
+    return code, capsys.readouterr().out
+
+
+def test_auto_color_on_hs_censuses_vertex_0_only(capsys, tmp_path, hs, census_spy):
+    code, out = _color(capsys, tmp_path, hs)
+    assert code == 0 and census_spy == [0]
+    assert out.startswith("strategy: two-bunch  center: 0  k: 8")
+
+
+def test_auto_color_on_planted_censuses_vertex_0_only(
+    capsys, tmp_path, no_c6_instance, census_spy
+):
+    code, out = _color(capsys, tmp_path, no_c6_instance)
+    assert code == 0 and census_spy == [0]
+    assert out.startswith("strategy: no-c6  center: 0  k: 8")
+
+
+@pytest.fixture(scope="module")
+def first_bounded_c6(reports):
+    """The lowest planted-graph vertex listing bounded-c6, read from the
+    full census before any spy is in place."""
+    return next(x for x, s in reports("planted").applicable_pairs() if s == "bounded-c6")
+
+
+def test_strategy_scan_stops_at_first_listing_vertex(
+    capsys, tmp_path, no_c6_instance, first_bounded_c6, census_spy
+):
+    first = first_bounded_c6
+    code, out = _color(capsys, tmp_path, no_c6_instance, "--strategy", "bounded-c6")
+    assert code == 0 and census_spy == list(range(first + 1))
+    assert out.startswith(f"strategy: bounded-c6  center: {first}  k: 8")

@@ -2,11 +2,12 @@
 
 import pytest
 
-from bchrome.errors import GenerationFailed
+from bchrome.errors import BadInput, GenerationFailed
 from bchrome.generators import (
     GenSpec,
     cycle,
     hoffman_singleton,
+    moore_bound,
     petersen,
     random_regular_girth,
     robertson,
@@ -82,6 +83,40 @@ def test_degree_guard():
 
 
 def test_impossible_spec_fails_cleanly():
-    # a 3-regular girth-5 graph needs at least 10 vertices
+    # the Moore bound admits 18 vertices for d = 4, girth 5, but the smallest
+    # such graph (the Robertson graph) has 19, so the search runs and fails
     with pytest.raises(GenerationFailed):
-        random_regular_girth(GenSpec(n=8, d=3, girth_min=5, max_attempts=5, swap_budget=200))
+        random_regular_girth(GenSpec(n=18, d=4, girth_min=5, max_attempts=3, swap_budget=50))
+
+
+@pytest.mark.parametrize(
+    "d, girth_min, bound",
+    [(3, 5, 10), (7, 5, 50), (3, 6, 14), (3, 10, 62), (4, 5, 17)]
+    + [(2, g, g) for g in range(3, 12)],
+)
+def test_moore_bound_values(d, girth_min, bound):
+    assert moore_bound(d, girth_min) == bound
+
+
+def test_moore_graphs_meet_the_bound(pet, hs, heawood):
+    for g in (pet, hs, heawood, cycle(7), cycle(8)):
+        assert moore_bound(g.regular_degree(), girth(g)) == g.n
+
+
+@pytest.mark.parametrize("n, d, girth_min", [(8, 3, 5), (12, 3, 6), (48, 7, 5), (60, 3, 10), (6, 2, 7)])
+def test_spec_below_moore_bound_is_bad_input(n, d, girth_min):
+    with pytest.raises(BadInput, match="below the Moore bound"):
+        random_regular_girth(GenSpec(n=n, d=d, girth_min=girth_min))
+
+
+def test_spec_at_moore_bound_is_searched():
+    # Petersen meets the bound, so n = 10 must reach the search
+    try:
+        random_regular_girth(GenSpec(n=10, d=3, girth_min=5, max_attempts=1, swap_budget=1))
+    except GenerationFailed:
+        pass
+
+
+def test_huge_girth_min_is_rejected_at_once():
+    with pytest.raises(BadInput):
+        random_regular_girth(GenSpec(n=1000, d=999, girth_min=10**9))
