@@ -28,7 +28,6 @@ from .construct import (
     lemma_extension,
     order_by_degree_sequences,
     order_two_bunch,
-    run_strategy,
     swap_repair,
 )
 from .errors import (
@@ -62,7 +61,6 @@ from .generators import (
 from .graph import (
     BunchStructure,
     Graph,
-    backward_degree,
     build_graph,
     bunches,
     closed_bunches,

@@ -23,7 +23,6 @@ from .errors import (
     BchromeError,
     CannotWriteOutput,
     ConstructionFailed,
-    NoStrategyApplies,
 )
 from .formats import (
     MAX_N,
@@ -128,19 +127,9 @@ def _print_b_table(cert) -> None:
 
 
 def _cmd_color(args, g: Graph) -> int:
-    if args.vertex is None:
-        if args.strategy == "auto":
-            cert = construct.auto_color(g)
-        else:
-            cert = construct.run_strategy(g, *construct.first_applicable(g, args.strategy))
-    elif args.strategy == "auto":
-        strategies = construct.vertex_strategies(g, args.vertex)
-        if not strategies:
-            raise NoStrategyApplies({args.vertex: "no strategy applicable"})
-        cert = construct.run_strategy(g, args.vertex, strategies[0])
-    else:
-        cert = construct.run_strategy(g, args.vertex, args.strategy)
+    strategy = None if args.strategy == "auto" else args.strategy
     # Every strategy returns a certificate it has verified itself.
+    cert = construct.auto_color(g, strategy, args.vertex)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

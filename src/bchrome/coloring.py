@@ -48,17 +48,11 @@ class PartialColoring:
                 )
         self._colors[v] = color
 
-    def unassign(self, v: int) -> None:
-        self._colors[v] = None
-
     def swap(self, u: int, v: int) -> None:
         self._colors[u], self._colors[v] = self._colors[v], self._colors[u]
 
     def is_total(self) -> bool:
         return all(c is not None for c in self._colors)
-
-    def copy(self) -> "PartialColoring":
-        return PartialColoring(self.n, self.k, self._colors)
 
 
 def available_colors(c: PartialColoring, g: Graph, v: int) -> set[int]:
@@ -99,16 +93,13 @@ def is_b_coloring(c: PartialColoring, g: Graph, k: int) -> bool:
     return b_by_class == set(range(1, k + 1))
 
 
-def greedy_complete(
-    c: PartialColoring, g: Graph, order: list[int] | None = None
-) -> PartialColoring:
-    """First-fit over the uncolored vertices in the given scan order.
+def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
+    """First-fit over the uncolored vertices in ascending order.
 
     Never recolors; raises CompletionFailedError(v) when a vertex has no
     available color (impossible for k >= max degree + 1).
     """
-    scan = order if order is not None else range(g.n)
-    for v in scan:
+    for v in range(g.n):
         if c.color(v) is not None:
             continue
         used = {c.color(w) for w in g.adj[v]}

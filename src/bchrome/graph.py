@@ -194,6 +194,18 @@ class BunchStructure:
             raise BadInput(f"vertex {v} is in no bunch of center {self.center}")
         return self.position[v][0]
 
+    @property
+    def s2(self) -> set[int]:
+        """S2(center), the vertices at distance exactly 2: the union of the
+        bunches, which bunches() proves disjoint from each other and from
+        N[center]."""
+        return set(self.position)
+
+    def s2_degrees(self, g: Graph) -> dict[int, int]:
+        """Each S2 vertex's number of neighbors inside S2."""
+        s2 = self.s2
+        return {v: len(g.adj[v] & s2) for v in s2}
+
 
 def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> BunchStructure:
     """Bunch structure at x: bunch i is N(x_i) \\ {x} for the i-th neighbor.
@@ -221,12 +233,6 @@ def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> Bu
         seen.update(bunch)
         bunch_lists.append(bunch)
     return BunchStructure(center=x, neighbor_order=order, bunches=bunch_lists)
-
-
-def backward_degree(bs: BunchStructure, g: Graph, v: int) -> int:
-    """Neighbors of v lying in bunches with smaller index than v's bunch."""
-    i = bs.bunch_of(v)
-    return sum(1 for w in g.adj[v] if w in bs.position and bs.position[w][0] < i)
 
 
 def s2_degree(g: Graph, x: int, v: int) -> int:
@@ -286,20 +292,6 @@ def count_c6_through_vertex(g: Graph, x: int) -> int:
         on_path.discard(first)
         path.pop()
     return count
-
-
-def second_sphere(g: Graph, x: int) -> set[int]:
-    """S2(x), the vertices at distance exactly 2 from x, read from the
-    neighbors' adjacency sets; the same set as sphere(g, x, 2) without a
-    BFS over the whole graph."""
-    g.check_vertex(x)
-    nx = g.adj[x]
-    s2: set[int] = set()
-    for u in nx:
-        s2 |= g.adj[u]
-    s2 -= nx
-    s2.discard(x)
-    return s2
 
 
 def closed_bunches(g: Graph, x: int) -> list[int]:

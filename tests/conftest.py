@@ -9,6 +9,30 @@ from bchrome.graph import Graph
 from bchrome.generators import cycle, hoffman_singleton, petersen
 
 
+@pytest.fixture(scope="module")
+def girth_once_per_graph():
+    """girth() memoised per graph object.  The census calls it twice per
+    vertex, so a full census of the n = 400 graph takes about 20 s without
+    this; the values are girth()'s own."""
+    from bchrome import construct, graph as graph_mod
+
+    girth = graph_mod.girth
+    seen = []  # (graph, girth) pairs; graphs are unhashable
+
+    def memo(g):
+        for h, value in seen:
+            if h is g:
+                return value
+        value = girth(g)
+        seen.append((g, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "girth", memo)
+        mp.setattr(construct, "girth", memo)
+        yield
+
+
 @pytest.fixture(scope="session")
 def pet():
     return petersen()

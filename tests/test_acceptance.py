@@ -188,7 +188,7 @@ def test_criterion_06_hall_solver_equivalence():
 
 def test_criterion_07_lemma_extension_seed(hs):
     for x in range(50):
-        c = lemma_extension(hs, x)
+        c = lemma_extension(hs, bunches(hs, x))
         bv = b_vertices(c, hs)
         expected = {x} | set(sorted(hs.adj[x])[:4])
         assert expected <= bv

@@ -428,3 +428,54 @@ def test_gen_girth_min_5_output_is_unchanged(capsys):
     assert _sha16(_gen(capsys, "--n", "40", "--d", "3", "--seed", "0")) == "e5effe53e0ae76c5"
     assert _sha16(_gen(capsys, "--n", "40", "--d", "3", "--seed", "1")) == "94c20a3c01477bd1"
     assert _sha16(_gen(capsys, "--n", "30", "--d", "4", "--seed", "2")) == "5a6dea0b11b9467e"
+
+
+@pytest.fixture
+def short_girth_calls(monkeypatch):
+    """Graphs passed to graph.short_girth from here on, wherever bchrome
+    refers to it."""
+    from bchrome import coloring, construct, graph
+
+    calls = []
+    real = graph.short_girth
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    for mod in (graph, construct, coloring):
+        monkeypatch.setattr(mod, "short_girth", spy)
+    return calls
+
+
+# One graph check per proof: the selection scan's, when it runs, the
+# chosen strategy's own, and the self-verify of the certificate.
+@pytest.mark.parametrize("graph, args, checks", [
+    ("hs", ["--strategy", "two-bunch", "--vertex", "17"], 2),
+    ("planted", ["--strategy", "bounded-c6", "--vertex", "0"], 2),
+    ("planted", ["--strategy", "no-c6", "--vertex", "0"], 2),
+    ("hs", [], 3),
+    ("hs", ["--vertex", "17"], 3),
+    ("hs", ["--strategy", "two-bunch"], 3),
+    ("planted", [], 3),
+    ("planted", ["--vertex", "0"], 3),
+    ("planted", ["--strategy", "bounded-c6"], 3),
+])
+def test_color_checks_the_graph_once_per_proof(
+    capsys, tmp_path, hs, no_c6_instance, short_girth_calls, graph, args, checks
+):
+    g = {"hs": hs, "planted": no_c6_instance}[graph]
+    f = tmp_path / "g.g6"
+    f.write_text(write_graph6(g) + "\n")
+    code, _, _ = run(capsys, ["color", str(f), *args])
+    assert code == 0
+    assert len(short_girth_calls) == checks
+
+
+def test_verify_checks_the_graph_once(capsys, tmp_path, hs_file, short_girth_calls):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, ["color", hs_file, "--out", str(cert)])[0] == 0
+    short_girth_calls.clear()
+    code, out, _ = run(capsys, ["verify", hs_file, str(cert)])
+    assert (code, out) == (0, "Accept\n")
+    assert len(short_girth_calls) == 1

@@ -25,18 +25,17 @@ from bchrome.construct import (
     lemma_extension,
     order_by_degree_sequences,
     order_two_bunch,
-    run_strategy,
     swap_repair,
 )
-from bchrome.errors import NoStrategyApplies, PreconditionViolated
-from bchrome.generators import cycle, petersen
-from bchrome.graph import bunches
+from bchrome.errors import BadInput, NoStrategyApplies, PreconditionViolated
+from bchrome.generators import GenSpec, cycle, petersen, random_regular_girth
+from bchrome.graph import bunches, count_c6_through_vertex
 
 from conftest import synthetic_bunch_graph
 
 
 def test_guards_reject_small_degree(pet):
-    for fn in (color_no_c6, color_bounded_c6, color_two_bunch, lemma_extension):
+    for fn in (color_no_c6, color_bounded_c6, color_two_bunch):
         with pytest.raises(PreconditionViolated):
             fn(pet, 0)
 
@@ -45,12 +44,14 @@ def test_guards_reject_irregular():
     from bchrome.graph import build_graph
 
     g = build_graph(3, [(0, 1)])
-    with pytest.raises(PreconditionViolated):
-        lemma_extension(g, 0)
+    # lemma_extension leaves the graph check to color_bounded_c6, its caller
+    for fn in (color_no_c6, color_bounded_c6, color_two_bunch):
+        with pytest.raises(PreconditionViolated, match="graph is not regular"):
+            fn(g, 0)
 
 
 def test_lemma_extension_hs(hs):
-    c = lemma_extension(hs, 0)
+    c = lemma_extension(hs, bunches(hs, 0))
     assert is_proper(c, hs)
     bv = b_vertices(c, hs)
     assert 0 in bv
@@ -83,7 +84,7 @@ def test_swap_repair_clears_clashes_and_decreases():
 
 def test_swap_repair_noop_when_clean(hs):
     bs = bunches(hs, 0)
-    c = lemma_extension(hs, 0)
+    c = lemma_extension(hs, bs)
     # bunch 2 is already properly colored; repairing it must not touch it
     before = c.colors()
     trace = []
@@ -95,12 +96,14 @@ def test_swap_repair_noop_when_clean(hs):
 def test_order_by_degree_sequences_petersen(pet):
     # every S2 vertex of Petersen has induced degree 2, so all sequences tie
     # and the order falls back to ascending identifiers
-    assert order_by_degree_sequences(pet, 0) == [1, 4, 5]
+    bs = bunches(pet, 0)
+    assert order_by_degree_sequences(bs, bs.s2_degrees(pet)) == [1, 4, 5]
 
 
 def test_order_by_degree_sequences_puts_busy_bunches_first():
     g = synthetic_bunch_graph(7, 3)
-    order = order_by_degree_sequences(g, 0)
+    bs = bunches(g, 0)
+    order = order_by_degree_sequences(bs, bs.s2_degrees(g))
     s2 = {v for xi in g.adj[0] for v in g.adj[xi] if v != 0}
 
     def seq(xi):
@@ -123,11 +126,27 @@ def test_color_no_c6_end_to_end(no_c6_instance):
 
 def test_color_no_c6_rejects_vertex_on_c6(no_c6_instance):
     g = no_c6_instance
-    from bchrome.graph import count_c6_through_vertex
-
     busy = next(v for v in range(g.n) if count_c6_through_vertex(g, v) > 0)
     with pytest.raises(PreconditionViolated):
         color_no_c6(g, busy)
+
+
+def _random_girth5_graphs():
+    for n, d in ((24, 3), (30, 3), (30, 4), (36, 4)):
+        for seed in (0, 1):
+            yield random_regular_girth(GenSpec(n=n, d=d, girth_min=5, seed=seed))
+
+
+def test_two_s2_neighbors_put_the_center_on_a_6_cycle(hs, no_c6_instance):
+    """color_no_c6 relies on this: at girth 5, an S2 vertex with two
+    neighbors in S2 closes a 6-cycle through the center."""
+    premises = 0
+    for g in (hs, no_c6_instance, *_random_girth5_graphs()):
+        for x in range(g.n):
+            if max(bunches(g, x).s2_degrees(g).values()) > 1:
+                premises += 1
+                assert count_c6_through_vertex(g, x) > 0, x
+    assert premises > 400
 
 
 def test_color_bounded_c6_end_to_end(no_c6_instance):
@@ -153,10 +172,11 @@ def test_order_two_bunch_requirements(hs):
         assert len(bm.independent_set) == bm.d - 3
 
 
-def test_two_bunch_needs_two_closed_bunches():
-    g = synthetic_bunch_graph(7, 0)
-    with pytest.raises(PreconditionViolated):
-        order_two_bunch(g, 0)
+def test_two_bunch_needs_two_closed_bunches(no_c6_instance):
+    # the planted graph passes the graph checks; its vertex 0 has no closed
+    # bunch, because every S2(0) vertex has neighbors outside N2[0]
+    with pytest.raises(PreconditionViolated, match="^vertex 0 has 0 closed bunches, need 2$"):
+        order_two_bunch(no_c6_instance, 0)
 
 
 def test_color_two_bunch_all_centers(hs):
@@ -232,9 +252,10 @@ def test_auto_color_no_strategy(pet):
     assert set(exc.value.reasons) == set(range(10))
 
 
-def test_run_strategy_unknown(hs):
-    with pytest.raises(ValueError):
-        run_strategy(hs, 0, "nope")
+def test_auto_color_unknown_strategy(hs):
+    for vertex in (None, 0):
+        with pytest.raises(BadInput, match="unknown strategy 'nope'"):
+            auto_color(hs, strategy="nope", vertex=vertex)
 
 
 def test_auto_color_deterministic(hs):

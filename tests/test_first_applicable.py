@@ -1,44 +1,19 @@
-"""The first-applicable scan behind `color`: it must pick the pair the full
-census would, and census no vertex past that pair."""
+"""The selection scan in `auto_color`, behind every `color` mode: it must
+pick the pair the full census would, and census no vertex past that pair."""
 
 import random
 
 import pytest
 
-from bchrome import construct, graph as graph_mod
+from bchrome import construct
 from bchrome.cli import main
-from bchrome.construct import (
-    STRATEGIES,
-    auto_color,
-    first_applicable,
-    hypothesis_report,
-    run_strategy,
-    vertex_strategies,
-)
+from bchrome.construct import STRATEGIES, auto_color, hypothesis_report
 from bchrome.errors import BchromeError, NoStrategyApplies, PreconditionViolated
 from bchrome.formats import write_certificate, write_graph6
-from bchrome.graph import Graph, build_graph, girth, relabel
+from bchrome.graph import Graph, build_graph, relabel
 
 
-@pytest.fixture(scope="module", autouse=True)
-def girth_once_per_graph():
-    """girth() memoised per graph object.  The census calls it twice per
-    vertex, so a full census of the n = 400 graph takes about 20 s without
-    this; the values are girth()'s own."""
-    seen = []  # (graph, girth) pairs; graphs are unhashable
-
-    def memo(g):
-        for h, value in seen:
-            if h is g:
-                return value
-        value = girth(g)
-        seen.append((g, value))
-        return value
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_mod, "girth", memo)
-        mp.setattr(construct, "girth", memo)
-        yield
+pytestmark = pytest.mark.usefixtures("girth_once_per_graph")
 
 
 def _relabelled(g, seed):
@@ -103,11 +78,12 @@ def _outcome(fn):
 
 
 def _expected(g, rep, strategy):
-    """The outcome read off the full census: its first applicable pair, or
-    the error color raised from it."""
+    """The outcome read off the full census: its first applicable pair, run
+    directly, or the error color raised from it."""
     pairs = [p for p in rep.applicable_pairs() if strategy in (None, p[1])]
     if pairs:
-        return _outcome(lambda: run_strategy(g, *pairs[0]))
+        x, s = pairs[0]
+        return _outcome(lambda: auto_color(g, strategy=s, vertex=x))
     if strategy is None:
         reasons = {vr.vertex: _census_reason(rep, vr) for vr in rep.per_vertex}
         return NoStrategyApplies, "no coloring strategy applies to any vertex", reasons
@@ -129,7 +105,7 @@ def test_auto_scan_matches_full_census(scan_graphs, reports, name):
 @pytest.mark.parametrize("name", GRAPHS)
 def test_strategy_scan_matches_full_census(scan_graphs, reports, name, strategy):
     g = scan_graphs[name]
-    actual = _outcome(lambda: run_strategy(g, *first_applicable(g, strategy)))
+    actual = _outcome(lambda: auto_color(g, strategy=strategy))
     assert actual == _expected(g, reports(name), strategy)
 
 
@@ -138,7 +114,13 @@ def test_vertex_strategies_match_full_census(scan_graphs, reports, name):
     g = scan_graphs[name]
     rep = reports(name)
     for v in sorted({0, g.n // 2, g.n - 1} & set(range(g.n))):
-        assert vertex_strategies(g, v) == rep.per_vertex[v].strategies, v
+        vr = rep.per_vertex[v]
+        if vr.strategies:
+            expected = _outcome(lambda: auto_color(g, strategy=vr.strategies[0], vertex=v))
+        else:
+            expected = (NoStrategyApplies, "no coloring strategy applies to any vertex",
+                        {v: _census_reason(rep, vr)})
+        assert _outcome(lambda: auto_color(g, vertex=v)) == expected, v
 
 
 @pytest.fixture

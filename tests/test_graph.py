@@ -14,7 +14,6 @@ from bchrome.errors import (
 )
 from bchrome.generators import cycle, petersen, random_regular_girth, GenSpec
 from bchrome.graph import (
-    backward_degree,
     build_graph,
     bunches,
     closed_bunch_indices,
@@ -26,7 +25,6 @@ from bchrome.graph import (
     induced_subgraph,
     relabel,
     s2_degree,
-    second_sphere,
     short_girth,
     sphere,
 )
@@ -134,17 +132,22 @@ def test_short_girth_random_graphs():
     assert {3, 4, 5, 6, math.inf} <= seen
 
 
-def test_second_sphere_matches_bfs_sphere(pet, hs, heawood):
+def test_bunch_s2_matches_bfs_sphere(pet, hs, heawood):
     for g in (pet, hs, heawood, random_graph(30, 0.1, 4)):
         for x in range(g.n):
-            assert second_sphere(g, x) == sphere(g, x, 2)
+            try:
+                bs = bunches(g, x)
+            except GirthTooSmallError:  # a triangle or 4-cycle at x
+                continue
+            assert bs.s2 == sphere(g, x, 2)
+            assert bs.s2_degrees(g) == {v: s2_degree(g, x, v) for v in bs.s2}
 
 
 def test_closed_bunch_indices_match_closed_bunches(pet, no_c6_instance):
     for g in (pet, no_c6_instance):
         for x in range(0, g.n, 7):
             bs = bunches(g, x)
-            assert closed_bunch_indices(g, bs, second_sphere(g, x)) == closed_bunches(g, x)
+            assert closed_bunch_indices(g, bs, bs.s2) == closed_bunches(g, x)
 
 
 def test_sphere_petersen(pet):
@@ -176,24 +179,6 @@ def test_bunches_reject_four_cycle():
 def test_bunches_custom_order_must_be_permutation(pet):
     with pytest.raises(ValueError):
         bunches(pet, 0, [1, 4, 4])
-
-
-def test_backward_degree_petersen(pet):
-    bs = bunches(pet, 0, [1, 4, 5])
-    # vertex 7 is in the third bunch {7, 8}; its neighbors are 2 (first
-    # bunch), 9 (second bunch) and 5 (the center's neighbor, in no bunch)
-    assert sorted(pet.adj[7]) == [2, 5, 9]
-    assert backward_degree(bs, pet, 7) == 2
-    # first bunch vertices never have backward neighbors
-    assert backward_degree(bs, pet, 2) == 0
-    assert backward_degree(bs, pet, 6) == 0
-
-
-def test_backward_degree_below_bunch_index(pet):
-    bs = bunches(pet, 0)
-    for i, bunch in enumerate(bs.bunches):
-        for v in bunch:
-            assert backward_degree(bs, pet, v) <= i
 
 
 def test_s2_degree_petersen(pet):
