@@ -20,10 +20,20 @@ from .transversal import SetFamily
 
 @dataclass
 class SearchLimits:
-    """Budgets; exceeding one aborts with BUDGET, never a wrong answer."""
+    """Budgets; exceeding one aborts with BUDGET, never a wrong answer.
+
+    A negative node budget and a negative or NaN time budget are BadInput:
+    the search would stop at once, or (NaN) never on time.
+    """
 
     max_nodes: int = 10_000_000
     time_budget: float = 60.0
+
+    def __post_init__(self):
+        if self.max_nodes < 0:
+            raise BadInput(f"node budget must be >= 0, got {self.max_nodes}")
+        if not self.time_budget >= 0:
+            raise BadInput(f"time budget must be a number >= 0, got {self.time_budget}")
 
 
 YES = "yes"
@@ -35,6 +45,7 @@ BUDGET = "budget"
 class BColoringResult:
     status: str
     coloring: list[int] | None = None
+    nodes: int = 0  # search nodes, as counted by _Budget.tick
 
     @property
     def exists(self) -> bool:
@@ -48,7 +59,7 @@ class _Budget:
         self.deadline = time.monotonic() + lim.time_budget
 
     def tick(self) -> bool:
-        """True while within budget."""
+        """True while within budget.  The one place a node is counted."""
         self.nodes += 1
         if self.nodes > self.max_nodes:
             return False
@@ -91,118 +102,163 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
     if g.n < k:
         return BColoringResult(NO)
     budget = _Budget(lim)
-    ran_out = False
-
+    st = _Colors(g, k)
+    status = NO
     for cand in _candidate_sets(g, k):
-        colors: list[int | None] = [None] * g.n
-        ok = True
-        for idx, v in enumerate(cand):
-            col = idx + 1
-            if any(colors[w] == col for w in g.adj[v]):
-                ok = False
-                break
-            colors[v] = col
-        if not ok:
-            continue
+        # The candidates' colors are distinct, so they cannot clash.
+        for col, v in enumerate(cand, 1):
+            st.assign(v, col)
         # Variable order: candidate neighborhoods first, then the rest.
         nbhd = sorted({w for v in cand for w in g.adj[v]} - set(cand))
         rest = sorted(set(range(g.n)) - set(cand) - set(nbhd))
-        order = nbhd + rest
-        res = _extend(g, k, colors, cand, order, budget)
-        if res is None:
-            ran_out = True
+        found = _extend(st, cand, nbhd + rest, len(nbhd), budget)
+        if found is None:
+            status = BUDGET
             break
-        if res:
-            return BColoringResult(YES, [c for c in colors])  # type: ignore[misc]
-    if ran_out:
-        return BColoringResult(BUDGET)
-    return BColoringResult(NO)
+        if found:
+            return BColoringResult(YES, list(st.colors), budget.nodes)  # type: ignore[arg-type]
+        for v in cand:
+            st.unassign(v)
+    return BColoringResult(status, None, budget.nodes)
 
 
-def _b_feasible(g: Graph, k: int, colors: list[int | None], cand) -> bool:
-    """Can every candidate still see all k colors in its closed neighborhood?"""
-    for v in cand:
-        present = {colors[w] for w in g.adj[v] if colors[w] is not None}
-        present.add(colors[v])
-        missing = set(range(1, k + 1)) - present
+class _Colors:
+    """The search's partial coloring, with the colors around each vertex
+    kept up to date: nb[u][col] is the number of u's neighbours colored
+    col, and bit col of seen[u] is set iff nb[u][col] > 0.  A test of
+    "col is free at u" or "u sees every color" is then one mask operation
+    instead of a scan of u's neighbourhood."""
+
+    __slots__ = ("adj", "k", "colors", "nb", "seen")
+
+    def __init__(self, g: Graph, k: int):
+        self.adj = g.adj
+        self.k = k
+        self.colors: list[int | None] = [None] * g.n
+        self.nb = [[0] * (k + 1) for _ in range(g.n)]
+        self.seen = [0] * g.n
+
+    def assign(self, v: int, col: int) -> None:
+        self.colors[v] = col
+        nb, seen, bit = self.nb, self.seen, 1 << col
+        for z in self.adj[v]:
+            nb[z][col] += 1
+            seen[z] |= bit
+
+    def unassign(self, v: int) -> None:
+        col = self.colors[v]
+        self.colors[v] = None
+        nb, seen = self.nb, self.seen
+        for z in self.adj[v]:
+            row = nb[z]
+            row[col] -= 1
+            if not row[col]:
+                seen[z] &= ~(1 << col)
+
+
+def _b_feasible(st: _Colors, cand) -> bool:
+    """Can every candidate still see all k colors in its closed neighborhood?
+
+    Candidate c needs, for each color missing around it, an uncolored
+    neighbour w that has no neighbour of that color, and at least as many
+    uncolored neighbours as missing colors.  With the masks that is one
+    pass over N(c) for a candidate that misses a color and none for one
+    that sees them all.
+    """
+    adj, colors, seen = st.adj, st.colors, st.seen
+    every = (1 << (st.k + 1)) - 2  # bits 1..k
+    for c in cand:
+        missing = every & ~seen[c] & ~(1 << colors[c])
         if not missing:
             continue
-        uncolored = [w for w in g.adj[v] if colors[w] is None]
-        if len(uncolored) < len(missing):
+        blocked = every  # colors that every uncolored neighbour already sees
+        uncolored = 0
+        for w in adj[c]:
+            if colors[w] is None:
+                blocked &= seen[w]
+                uncolored += 1
+        if uncolored < missing.bit_count() or missing & blocked:
             return False
-        for col in missing:
-            if not any(
-                all(colors[z] != col for z in g.adj[w]) for w in uncolored
-            ):
-                return False
     return True
 
 
-def _extend(g, k, colors, cand, order, budget) -> bool | None:
-    """DFS extension; True found, False exhausted, None budget exceeded.
+def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
+    """DFS extension along `order`; True found (st holds the witness),
+    False exhausted (st as on entry), None budget exceeded.
 
-    Iterative, with one frame [vertex, forbidden colors, last color tried,
-    position in order] per colored vertex, so the depth is not bounded by
-    the interpreter's recursion limit.  Nodes are visited (and ticked) in
-    the order of the plain recursive search.
+    Iterative, with tried[i] the color order[i] holds or last held, so the
+    depth is not bounded by the interpreter's recursion limit.  Nodes are
+    visited (and ticked) in the order of the plain recursive search: the
+    root, then one per accepted assignment.
+
+    Only the first `checked` positions, the candidates' neighbourhood, run
+    _b_feasible; the test is skipped later with the same answer.  Once
+    position checked - 1 is accepted, every vertex of N[cand] is colored,
+    so a missing color would have had no uncolored neighbour to take it:
+    the test passed there only because every candidate sees all k colors.
+    Later positions color vertices outside N[cand], which changes no
+    candidate's closed neighbourhood, so the test would pass again.  When
+    checked == 0 no candidate has a neighbour outside cand, and as each has
+    degree >= k - 1, N[v] = cand for every candidate v: the k distinct
+    candidate colors make each one a b-vertex from the start.
     """
-    frames: list[list] = []
-    pos = 0
+    k, seen = st.k, st.seen
+    tried = [0] * len(order)
+    depth = 0
     while True:
         if not budget.tick():
-            for frame in frames:
-                colors[frame[0]] = None
             return None
-        while pos < len(order) and colors[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
+        if depth == len(order):
             return True
-        v = order[pos]
-        frames.append([v, {colors[w] for w in g.adj[v] if colors[w] is not None}, 0, pos])
-        while frames:
-            frame = frames[-1]
-            v, forbidden, last, _ = frame
-            colors[v] = None
-            for col in range(last + 1, k + 1):
-                if col in forbidden:
+        while True:
+            v = order[depth]
+            for col in range(tried[depth] + 1, k + 1):
+                if seen[v] >> col & 1:
                     continue
-                colors[v] = col
-                if _b_feasible(g, k, colors, cand):
+                st.assign(v, col)
+                if depth >= checked or _b_feasible(st, cand):
                     break
-                colors[v] = None
+                st.unassign(v)
             else:
-                frames.pop()
+                # No color fits order[depth]: undo the one before it.
+                tried[depth] = 0
+                if depth == 0:
+                    return False
+                depth -= 1
+                st.unassign(order[depth])
                 continue
-            frame[2] = col
-            pos = frame[3] + 1
+            tried[depth] = col
+            depth += 1
             break
-        else:
-            return False
 
 
 @dataclass
 class BChromaticResult:
     value: int
     exact: bool  # False means LowerBoundOnly: a larger k ran out of budget
+    nodes: int = 0  # search nodes over every k probed
 
 
 def exact_b_chromatic(g: Graph, lim: SearchLimits | None = None) -> BChromaticResult:
     """Largest k with a b-coloring, scanning Delta+1 downward.
 
-    b-colorings do not nest, so every k is probed independently.  If a
-    budget blocks some larger k the answer is a lower bound only.
+    b-colorings do not nest, so every k is probed independently, each with
+    the full budget.  If a budget blocks some larger k the answer is a
+    lower bound only.
     """
     if g.n == 0:
         raise BadInput("empty graph has no coloring")
     delta = max(g.degree(v) for v in range(g.n))
     bounded = False
+    nodes = 0
     for k in range(delta + 1, 0, -1):
         res = b_coloring_exists(g, k, lim)
+        nodes += res.nodes
         if res.status == YES:
-            return BChromaticResult(k, exact=not bounded)
+            return BChromaticResult(k, not bounded, nodes)
         if res.status == BUDGET:
             bounded = True
-    return BChromaticResult(1, exact=not bounded)
+    return BChromaticResult(1, not bounded, nodes)
 
 
 def enumerate_c6_through(g: Graph, x: int) -> list[tuple[int, ...]]:

@@ -185,6 +185,9 @@ BAD_INPUTS = [
     ("graph6-header-only", ["info", "{f}"], b">>graph6<<\n"),
     ("not-utf8", ["info", "{f}"], b"\xff\xfe\x00"),
     ("bchrom-empty-graph", ["bchrom", "{f}"], b"?\n"),
+    ("bchrom-node-budget-neg", ["bchrom", "{hs}", "--node-budget", "-5"], None),
+    ("bchrom-time-budget-neg", ["bchrom", "{hs}", "--time-budget", "-1"], None),
+    ("bchrom-time-budget-nan", ["bchrom", "{hs}", "--time-budget", "nan"], None),
     ("color-vertex-999", ["color", "{hs}", "--vertex", "999"], None),
     ("color-vertex-neg", ["color", "{hs}", "--vertex", "-1"], None),
     ("color-no-c6-vertex-999", ["color", "{hs}", "--strategy", "no-c6", "--vertex", "999"], None),

@@ -1,12 +1,18 @@
 """Exhaustive oracles: b-colorings, six-cycle enumeration, budgets."""
 
+import hashlib
+import json
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchrome.errors import FamilyTooLarge
-from bchrome.generators import cycle, hoffman_singleton, petersen
-from bchrome.graph import build_graph, count_c6_through_vertex
+from bchrome.coloring import PartialColoring, is_b_coloring
+from bchrome.errors import BadInput, FamilyTooLarge
+from bchrome.generators import cycle, hoffman_singleton, petersen, robertson
+from bchrome.graph import build_graph, count_c6_through_vertex, relabel
 from bchrome.oracle import (
     BUDGET,
     NO,
@@ -23,8 +29,6 @@ from bchrome.transversal import SetFamily
 
 
 def random_graph(n, p, seed):
-    import random
-
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -70,6 +74,19 @@ def test_budget_reports_budget(pet):
 
 
 @pytest.mark.parametrize(
+    "limits", [{"max_nodes": -1}, {"time_budget": -1.0}, {"time_budget": float("nan")}]
+)
+def test_unmeetable_budgets_are_bad_input(limits):
+    with pytest.raises(BadInput):
+        SearchLimits(**limits)
+
+
+def test_zero_node_budget_is_a_budget_answer(pet):
+    res = b_coloring_exists(pet, 3, SearchLimits(max_nodes=0))
+    assert (res.status, res.nodes) == (BUDGET, 1)
+
+
+@pytest.mark.parametrize(
     "graph, k, nodes, status",
     [(petersen, 4, 551, NO), (hoffman_singleton, 8, 43, YES)],
 )
@@ -78,6 +95,92 @@ def test_node_count_is_pinned(graph, k, nodes, status):
     g = graph()
     assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes)).status == status
     assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes - 1)).status == BUDGET
+
+
+def _hs_relabelled(seed):
+    hs = hoffman_singleton()
+    perm = list(range(hs.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(hs, perm)
+
+
+# (graph, k, status, nodes, first 16 hex digits of the sha256 of the
+# witness as JSON).  Recorded before the search kept incremental colour
+# counts: a faster search must visit the same nodes and return the same
+# witness.
+PINNED_SEARCHES = [
+    ("petersen", 3, YES, 8, "c9020f868f566ad6"),
+    ("petersen", 4, NO, 551, None),
+    ("c5", 3, YES, 3, "bb2c0153cd679df4"),
+    ("c5", 4, NO, 0, None),
+    ("hs", 8, YES, 43, "ecc388d7a2987460"),
+    ("hs-relabel-1", 8, YES, 1421, "b1c72f450fba471a"),
+    ("robertson", 5, YES, 15, "c8966fa623b3ba45"),
+    ("planted", 8, YES, 393, "b8a31175ac77c7af"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs(no_c6_instance):
+    return {
+        "petersen": petersen(),
+        "c5": cycle(5),
+        "hs": hoffman_singleton(),
+        "hs-relabel-1": _hs_relabelled(1),
+        "robertson": robertson(),
+        "planted": no_c6_instance,
+    }
+
+
+@pytest.mark.parametrize("name, k, status, nodes, witness", PINNED_SEARCHES)
+def test_search_is_pinned(pinned_graphs, name, k, status, nodes, witness):
+    g = pinned_graphs[name]
+    res = b_coloring_exists(g, k)
+    assert (res.status, res.nodes) == (status, nodes)
+    digest = None
+    if res.coloring is not None:
+        digest = hashlib.sha256(json.dumps(res.coloring).encode()).hexdigest()[:16]
+        assert verify_witness(g, k, res.coloring)
+    assert digest == witness
+
+
+def test_exact_b_chromatic_reports_nodes(pet):
+    # k = 4 proves NO in 551 nodes, then k = 3 finds a witness in 8
+    res = exact_b_chromatic(pet)
+    assert (res.value, res.exact, res.nodes) == (3, True, 551 + 8)
+
+
+def _brute_force_exists(g, k):
+    """Some colouring among all k^n, judged by is_b_coloring."""
+    return any(
+        is_b_coloring(PartialColoring(g.n, k, list(cols)), g, k)
+        for cols in product(range(1, k + 1), repeat=g.n)
+    )
+
+
+def _cross_check_graphs():
+    """Seeded random graphs with n <= 7, plus graphs with isolated vertices
+    and a component that is K_k: the star of a K_k vertex is a candidate
+    set with no neighbour outside it, the search's empty-neighbourhood
+    case."""
+    graphs = [random_graph(n, p, seed) for n in (4, 5, 6, 7)
+              for p in (0.3, 0.5, 0.7) for seed in range(3)]
+    for k in range(1, 5):
+        clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        graphs.append(build_graph(k + 2, clique))  # K_k and two isolated vertices
+        graphs.append(build_graph(k + 3, clique + [(k, k + 1), (k + 1, k + 2)]))  # K_k + P_3
+    graphs.append(build_graph(6, [(0, 1), (2, 3)]))
+    graphs.append(build_graph(5, []))
+    return graphs
+
+
+def test_status_matches_brute_force():
+    for g in _cross_check_graphs():
+        for k in range(1, 5):
+            res = b_coloring_exists(g, k)
+            assert res.exists == _brute_force_exists(g, k), (g.edges(), k)
+            if res.exists:
+                assert verify_witness(g, k, res.coloring)
 
 
 def test_search_depth_not_bounded_by_recursion_limit():
