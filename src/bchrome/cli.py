@@ -75,8 +75,7 @@ def _cmd_gen(args, _g: None) -> int:
         g = generators.robertson()
     else:
         if args.n is None or args.d is None:
-            print("random-regular needs --n and --d", file=sys.stderr)
-            return EXIT_PARSE
+            raise BadInput("random-regular needs --n and --d")
         g = generators.random_regular_girth(
             generators.GenSpec(
                 n=args.n, d=args.d, girth_min=args.girth_min, seed=args.seed

@@ -153,6 +153,17 @@ def _short_cycle_score(g: Graph, girth_min: int) -> int:
     return score
 
 
+def _edge_score(g: Graph, x: int, y: int, girth_min: int) -> int:
+    """The share of _short_cycle_score held by cycles through edge xy: 3 per
+    triangle xyz, 1 per 4-cycle x-y-z-w-x (w runs over N(z) & N(x) minus y).
+    Only called with girth_min > 3, where the triangle term always counts."""
+    nx = g.adj[x]
+    score = 3 * len(nx & g.adj[y])
+    if girth_min > 4:
+        score += sum(len(g.adj[z] & nx) - 1 for z in g.adj[y] if z != x)
+    return score
+
+
 def _apply_swap(g: Graph, u: int, v: int, a: int, b: int) -> None:
     g.adj[u].discard(v)
     g.adj[v].discard(u)
@@ -164,6 +175,27 @@ def _apply_swap(g: Graph, u: int, v: int, a: int, b: int) -> None:
     g.adj[b].add(v)
 
 
+def _scored_swap(g: Graph, u: int, v: int, a: int, b: int, girth_min: int) -> int:
+    """Apply the swap (u,v),(a,b) -> (u,a),(v,b) and return the exact change
+    in _short_cycle_score (girth_min > 3).
+
+    Only cycles through a removed or an added edge change: the ones lost
+    through uv and ab, and the ones won through ua and vb.  A triangle holds
+    no two disjoint edges; a is not adjacent to u before the swap, and uv and
+    ab are gone after it, so the one cycle on both lost edges is the 4-cycle
+    u-v-a-b-u and the one on both won edges is u-a-v-b-u.  The two edge
+    scores count such a cycle twice.
+    """
+    lost = _edge_score(g, u, v, girth_min) + _edge_score(g, a, b, girth_min)
+    if girth_min > 4 and a in g.adj[v] and b in g.adj[u]:
+        lost -= 1
+    _apply_swap(g, u, v, a, b)
+    won = _edge_score(g, u, a, girth_min) + _edge_score(g, v, b, girth_min)
+    if girth_min > 4 and v in g.adj[a] and b in g.adj[u]:
+        won -= 1
+    return won - lost
+
+
 def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) -> bool:
     """Remove short cycles by degree-preserving 2-swaps.
 
@@ -172,6 +204,9 @@ def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) 
     moves still shuffle the offending structure.  The count covers lengths
     3 and 4 only, so a zero count ends the search only when girth_min <= 5;
     above that, the search runs until no cycle shorter than girth_min is left.
+
+    Each tentative swap is scored by _scored_swap from the four edges it
+    touches, not by a full recount.
     """
     if girth_min <= 3:
         return True
@@ -195,10 +230,9 @@ def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) 
                 continue
             if v not in g.adj[u] or b not in g.adj[a]:
                 continue
-            _apply_swap(g, u, v, a, b)
-            new_score = _short_cycle_score(g, girth_min)
-            if new_score <= score:
-                score = new_score
+            delta = _scored_swap(g, u, v, a, b, girth_min)
+            if delta <= 0:
+                score += delta
                 break
             _apply_swap(g, u, a, v, b)  # revert
         # A round with no accepted partner just retries with a fresh cycle

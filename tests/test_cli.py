@@ -42,8 +42,8 @@ def test_gen_dimacs(capsys, pet):
 
 
 def test_gen_random_needs_params(capsys):
-    code, _, err = run(capsys, ["gen", "--family", "random-regular"])
-    assert code == 3
+    code, out, err = run(capsys, ["gen", "--family", "random-regular"])
+    assert (code, out, err) == (3, "", "bad input: random-regular needs --n and --d\n")
 
 
 def test_gen_random_deterministic(capsys):
