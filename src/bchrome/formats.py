@@ -19,6 +19,8 @@ MAX_N = 258047
 _G6_BAD_CHAR = re.compile(r"[^?-~]")
 # str.translate table: each graph6 character to its six data bits.
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+# bytes.translate table: six data bits (0..63) to their graph6 character.
+_G6_CHARS = bytes((b + 63) & 0xFF for b in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -71,6 +73,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
+    """Encode as graph6, the inverse of parse_graph6: one step per edge,
+    then one translate over the body."""
     if g.n > MAX_N:
         raise BadInput(f"graph6 writer supports n <= {MAX_N}")
     if g.n <= _MAX_SHORT_N:
@@ -79,17 +83,13 @@ def write_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(((g.n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
         )
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(sum(bit << (5 - k) for k, bit in enumerate(bits[i : i + 6])) + 63)
-        for i in range(0, len(bits), 6)
-    )
-    return head + body
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i, six bits per character,
+    # most significant first, zero-padded at the end.
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        b = j * (j - 1) // 2 + i
+        body[b // 6] |= 32 >> (b % 6)
+    return head + body.translate(_G6_CHARS).decode("ascii")
 
 
 def parse_dimacs(text: str) -> Graph:

@@ -108,6 +108,7 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
         # The candidates' colors are distinct, so they cannot clash.
         for col, v in enumerate(cand, 1):
             st.assign(v, col)
+            st.is_cand[v] = 1
         # Variable order: candidate neighborhoods first, then the rest.
         nbhd = sorted({w for v in cand for w in g.adj[v]} - set(cand))
         rest = sorted(set(range(g.n)) - set(cand) - set(nbhd))
@@ -119,17 +120,20 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
             return BColoringResult(YES, list(st.colors), budget.nodes)  # type: ignore[arg-type]
         for v in cand:
             st.unassign(v)
+            st.is_cand[v] = 0
     return BColoringResult(status, None, budget.nodes)
 
 
 class _Colors:
     """The search's partial coloring, with the colors around each vertex
     kept up to date: nb[u][col] is the number of u's neighbours colored
-    col, and bit col of seen[u] is set iff nb[u][col] > 0.  A test of
-    "col is free at u" or "u sees every color" is then one mask operation
-    instead of a scan of u's neighbourhood."""
+    col, bit col of seen[u] is set iff nb[u][col] > 0, and free[u] is the
+    number of u's uncolored neighbours.  A test of "col is free at u" or
+    "u sees every color" is then one mask operation instead of a scan of
+    u's neighbourhood.  is_cand[u] is 1 iff u is in the current candidate
+    set; b_coloring_exists sets and clears it."""
 
-    __slots__ = ("adj", "k", "colors", "nb", "seen")
+    __slots__ = ("adj", "k", "colors", "nb", "seen", "free", "is_cand")
 
     def __init__(self, g: Graph, k: int):
         self.adj = g.adj
@@ -137,23 +141,27 @@ class _Colors:
         self.colors: list[int | None] = [None] * g.n
         self.nb = [[0] * (k + 1) for _ in range(g.n)]
         self.seen = [0] * g.n
+        self.free = [len(a) for a in g.adj]
+        self.is_cand = bytearray(g.n)
 
     def assign(self, v: int, col: int) -> None:
         self.colors[v] = col
-        nb, seen, bit = self.nb, self.seen, 1 << col
+        nb, seen, free, bit = self.nb, self.seen, self.free, 1 << col
         for z in self.adj[v]:
             nb[z][col] += 1
             seen[z] |= bit
+            free[z] -= 1
 
     def unassign(self, v: int) -> None:
         col = self.colors[v]
         self.colors[v] = None
-        nb, seen = self.nb, self.seen
+        nb, seen, free = self.nb, self.seen, self.free
         for z in self.adj[v]:
             row = nb[z]
             row[col] -= 1
             if not row[col]:
                 seen[z] &= ~(1 << col)
+            free[z] += 1
 
 
 def _b_feasible(st: _Colors, cand) -> bool:
@@ -161,23 +169,23 @@ def _b_feasible(st: _Colors, cand) -> bool:
 
     Candidate c needs, for each color missing around it, an uncolored
     neighbour w that has no neighbour of that color, and at least as many
-    uncolored neighbours as missing colors.  With the masks that is one
-    pass over N(c) for a candidate that misses a color and none for one
-    that sees them all.
+    uncolored neighbours as missing colors.  With the masks and counts that
+    is one pass over N(c) for a candidate that misses a color and none for
+    one that sees them all.
     """
-    adj, colors, seen = st.adj, st.colors, st.seen
+    adj, colors, seen, free = st.adj, st.colors, st.seen, st.free
     every = (1 << (st.k + 1)) - 2  # bits 1..k
     for c in cand:
         missing = every & ~seen[c] & ~(1 << colors[c])
         if not missing:
             continue
+        if free[c] < missing.bit_count():
+            return False
         blocked = every  # colors that every uncolored neighbour already sees
-        uncolored = 0
         for w in adj[c]:
             if colors[w] is None:
                 blocked &= seen[w]
-                uncolored += 1
-        if uncolored < missing.bit_count() or missing & blocked:
+        if missing & blocked:
             return False
     return True
 
@@ -186,7 +194,7 @@ def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
     """DFS extension along `order`; True found (st holds the witness),
     False exhausted (st as on entry), None budget exceeded.
 
-    Iterative, with tried[i] the color order[i] holds or last held, so the
+    Iterative, with left[i] the colors order[i] has still to try, so the
     depth is not bounded by the interpreter's recursion limit.  Nodes are
     visited (and ticked) in the order of the plain recursive search: the
     root, then one per accepted assignment.
@@ -201,33 +209,56 @@ def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
     checked == 0 no candidate has a neighbour outside cand, and as each has
     degree >= k - 1, N[v] = cand for every candidate v: the k distinct
     candidate colors make each one a b-vertex from the start.
+
+    Zero slack.  At those first positions v is not offered a color that
+    _b_feasible would reject for lack of uncolored neighbours.  A candidate
+    c adjacent to v has zero slack when its uncolored neighbours, v among
+    them, are exactly as many as the colors it misses (at k = d + 1 on a
+    d-regular graph every candidate starts so).  Given a color c already
+    sees, v would leave c with the same missing colors and one uncolored
+    neighbour fewer, and the pigeonhole test fails; given a color c
+    misses, both numbers drop by one.  So v's colors are drawn from the
+    intersection of the missing sets of its zero-slack candidate
+    neighbours, and exactly the colors the test would reject are skipped:
+    the accepted colors, their order, the node count and the witness are
+    those of the unfiltered search.
     """
-    k, seen = st.k, st.seen
-    tried = [0] * len(order)
+    adj, colors, seen, free, is_cand = st.adj, st.colors, st.seen, st.free, st.is_cand
+    every = (1 << (st.k + 1)) - 2  # bits 1..k
+    left = [0] * len(order)
     depth = 0
     while True:
         if not budget.tick():
             return None
         if depth == len(order):
             return True
+        v = order[depth]
+        allowed = every & ~seen[v]
+        if depth < checked:
+            for c in adj[v]:
+                if is_cand[c]:
+                    missing = every & ~seen[c] & ~(1 << colors[c])
+                    if free[c] == missing.bit_count():
+                        allowed &= missing
+        left[depth] = allowed
         while True:
             v = order[depth]
-            for col in range(tried[depth] + 1, k + 1):
-                if seen[v] >> col & 1:
-                    continue
-                st.assign(v, col)
+            allowed = left[depth]
+            while allowed:
+                bit = allowed & -allowed
+                allowed ^= bit
+                st.assign(v, bit.bit_length() - 1)
                 if depth >= checked or _b_feasible(st, cand):
                     break
                 st.unassign(v)
             else:
                 # No color fits order[depth]: undo the one before it.
-                tried[depth] = 0
                 if depth == 0:
                     return False
                 depth -= 1
                 st.unassign(order[depth])
                 continue
-            tried[depth] = col
+            left[depth] = allowed
             depth += 1
             break
 
@@ -323,25 +354,35 @@ def transversal_backtrack(fam: SetFamily, max_sets: int = 10) -> dict[int, int] 
 
 
 def proper_coloring_exists(g: Graph, k: int) -> bool:
-    """Plain backtracking k-colorability check (chromatic-number oracle)."""
-    colors: list[int | None] = [None] * g.n
+    """Plain backtracking k-colorability check (chromatic-number oracle).
+
+    Iterative, like _extend, so the depth is not bounded by the
+    interpreter's recursion limit.  colors[v] is the color v holds or last
+    held (0 for none), and top[pos] the largest color on order[:pos]: as
+    colors are interchangeable, position pos tries none above top[pos] + 1.
+    """
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
-
-    def rec(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    colors = [0] * g.n
+    top = [0] * (g.n + 1)
+    pos = 0
+    while pos < g.n:
         v = order[pos]
-        forbidden = {colors[w] for w in g.adj[v] if colors[w] is not None}
-        limit = min(k, max([colors[w] or 0 for w in range(g.n)], default=0) + 1)
-        for col in range(1, limit + 1):
-            if col not in forbidden:
-                colors[v] = col
-                if rec(pos + 1):
-                    return True
-                colors[v] = None
-        return False
-
-    return rec(0)
+        forbidden = {colors[w] for w in g.adj[v]}
+        limit = min(k, top[pos] + 1)
+        col = colors[v] + 1
+        while col in forbidden:
+            col += 1
+        if col <= limit:
+            colors[v] = col
+            top[pos + 1] = max(top[pos], col)
+            pos += 1
+        else:
+            # No color fits order[pos]: try the next one at order[pos - 1].
+            colors[v] = 0
+            if pos == 0:
+                return False
+            pos -= 1
+    return True
 
 
 def verify_witness(g: Graph, k: int, colors: list[int]) -> bool:

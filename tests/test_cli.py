@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, exit codes, determinism, stdin handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -482,3 +486,17 @@ def test_verify_checks_the_graph_once(capsys, tmp_path, hs_file, short_girth_cal
     code, out, _ = run(capsys, ["verify", hs_file, str(cert)])
     assert (code, out) == (0, "Accept\n")
     assert len(short_girth_calls) == 1
+
+
+def test_python_dash_m_runs_the_cli(pet):
+    # `python -m bchrome` from a source checkout, one process per command.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "bchrome"]
+    gen = subprocess.run(cmd + ["gen", "--family", "petersen"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (gen.returncode, gen.stderr) == (0, "")
+    assert parse_graph6(gen.stdout) == pet
+    bchrom = subprocess.run(cmd + ["bchrom", "-"], input=gen.stdout, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (bchrom.returncode, bchrom.stdout, bchrom.stderr) == (0, "3\n", "")

@@ -1,5 +1,6 @@
 """graph6, DIMACS and certificate serialization: round-trips and rejects."""
 
+import hashlib
 import random
 
 import pytest
@@ -43,6 +44,51 @@ def test_header_prefix_accepted(pet):
 def test_named_graph_round_trips(pet, hs):
     for g in (pet, hs, cycle(5), build_graph(0, []), build_graph(62, [])):
         assert parse_graph6(write_graph6(g)) == g
+
+
+# (name, first 16 hex digits of the sha256 of write_graph6's output),
+# recorded from the per-pair writer: a faster writer must emit the same bytes.
+WRITE_GRAPH6_DIGESTS = [
+    ("petersen", "04880e95a8ddc143"),
+    ("hs", "d0e6d87cb8ec7162"),
+    ("planted", "188b20a40fb22526"),
+    ("empty-62", "1275b5579bfb165a"),
+    ("random-62", "38d03f54445d615b"),
+    ("random-63", "18db01b4f2833ba4"),
+    ("complete-63", "31f54ba7bc521917"),
+    ("random-0-0", "8a8de823d5ed3e12"),
+    ("random-1-1", "c3641f8544d7c02f"),
+    ("random-2-2", "ada8d598e51a0bf0"),
+    ("random-7-3", "366c39b8a0d74f52"),
+    ("random-13-4", "fbc6169ae421ea2c"),
+    ("random-100-5", "836e211e3a3f4ce5"),
+    ("random-300-6", "3f61772e2f2e0a37"),
+]
+
+
+@pytest.fixture(scope="module")
+def digest_graphs(pet, hs, no_c6_instance):
+    graphs = {
+        "petersen": pet,
+        "hs": hs,
+        "planted": no_c6_instance,
+        "empty-62": build_graph(62, []),
+        "random-62": random_graph(62, 0.3, 62),
+        "random-63": random_graph(63, 0.3, 63),
+        "complete-63": random_graph(63, 1.0, 0),
+    }
+    sizes = [(0, 0.5), (1, 0.5), (2, 1.0), (7, 0.5), (13, 0.4), (100, 0.05), (300, 0.02)]
+    for seed, (n, p) in enumerate(sizes):
+        graphs[f"random-{n}-{seed}"] = random_graph(n, p, seed)
+    return graphs
+
+
+@pytest.mark.parametrize("name, digest", WRITE_GRAPH6_DIGESTS)
+def test_write_graph6_is_pinned(digest_graphs, name, digest):
+    g = digest_graphs[name]
+    enc = write_graph6(g)
+    assert hashlib.sha256(enc.encode()).hexdigest()[:16] == digest
+    assert parse_graph6(enc) == g
 
 
 def test_extended_length_form():

@@ -97,17 +97,17 @@ def test_node_count_is_pinned(graph, k, nodes, status):
     assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes - 1)).status == BUDGET
 
 
-def _hs_relabelled(seed):
-    hs = hoffman_singleton()
-    perm = list(range(hs.n))
+def _relabelled(g, seed):
+    perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    return relabel(hs, perm)
+    return relabel(g, perm)
 
 
 # (graph, k, status, nodes, first 16 hex digits of the sha256 of the
 # witness as JSON).  Recorded before the search kept incremental colour
-# counts: a faster search must visit the same nodes and return the same
-# witness.
+# counts (HS relabellings 2-6, the Petersen relabellings and Robertson at
+# k = 4 before it skipped the colours a zero-slack candidate cannot use): a
+# faster search must visit the same nodes and return the same witness.
 PINNED_SEARCHES = [
     ("petersen", 3, YES, 8, "c9020f868f566ad6"),
     ("petersen", 4, NO, 551, None),
@@ -115,6 +115,14 @@ PINNED_SEARCHES = [
     ("c5", 4, NO, 0, None),
     ("hs", 8, YES, 43, "ecc388d7a2987460"),
     ("hs-relabel-1", 8, YES, 1421, "b1c72f450fba471a"),
+    ("hs-relabel-2", 8, YES, 950, "2dddc162dac367fc"),
+    ("hs-relabel-3", 8, YES, 46, "902bf332b8b77779"),
+    ("hs-relabel-4", 8, YES, 770, "7a984946609bd376"),
+    ("hs-relabel-5", 8, YES, 168, "650d3277e0c35c28"),
+    ("hs-relabel-6", 8, YES, 430, "27b565e4e674e308"),
+    ("petersen-relabel-1", 4, NO, 555, None),
+    ("petersen-relabel-2", 4, NO, 544, None),
+    ("robertson", 4, YES, 16, "a0f6370a983d2dd2"),
     ("robertson", 5, YES, 15, "c8966fa623b3ba45"),
     ("planted", 8, YES, 393, "b8a31175ac77c7af"),
 ]
@@ -126,7 +134,8 @@ def pinned_graphs(no_c6_instance):
         "petersen": petersen(),
         "c5": cycle(5),
         "hs": hoffman_singleton(),
-        "hs-relabel-1": _hs_relabelled(1),
+        **{f"hs-relabel-{s}": _relabelled(hoffman_singleton(), s) for s in range(1, 7)},
+        **{f"petersen-relabel-{s}": _relabelled(petersen(), s) for s in (1, 2)},
         "robertson": robertson(),
         "planted": no_c6_instance,
     }
@@ -142,6 +151,19 @@ def test_search_is_pinned(pinned_graphs, name, k, status, nodes, witness):
         digest = hashlib.sha256(json.dumps(res.coloring).encode()).hexdigest()[:16]
         assert verify_witness(g, k, res.coloring)
     assert digest == witness
+
+
+def test_random_searches_are_pinned():
+    # One sha256 over (status, nodes, witness) of 600 seeded random
+    # (graph, k) searches, 197 of them YES; recorded as the pins above.
+    rows = []
+    for seed in range(150):
+        g = random_graph(5 + seed % 6, (0.3, 0.45, 0.6)[seed % 3], seed)
+        for k in range(2, 6):
+            res = b_coloring_exists(g, k)
+            rows.append([res.status, res.nodes, res.coloring])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == "29834641d5ae1409"
 
 
 def test_exact_b_chromatic_reports_nodes(pet):
@@ -223,6 +245,12 @@ def test_proper_coloring_oracle():
     assert proper_coloring_exists(tri, 3)
     assert proper_coloring_exists(cycle(6), 2)
     assert not proper_coloring_exists(cycle(5), 2)
+
+
+def test_proper_coloring_depth_not_bounded_by_recursion_limit():
+    path = build_graph(1200, [(v, v + 1) for v in range(1199)])
+    assert proper_coloring_exists(path, 2)
+    assert not proper_coloring_exists(cycle(1201), 2)
 
 
 @settings(max_examples=30, deadline=None)
