@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadInput, CompletionFailedError, ConstructionFailed, NotTotalError
+from .errors import BadInput, CompletionFailedError, ConstructionFailed
 from .graph import Graph, girth, short_girth
 
 
@@ -81,7 +81,7 @@ def b_vertices(c: PartialColoring, g: Graph) -> set[int]:
 def is_b_coloring(c: PartialColoring, g: Graph, k: int) -> bool:
     """Proper total coloring using exactly [k], every class owning a b-vertex."""
     if not c.is_total():
-        raise NotTotalError("b-coloring check needs a total coloring")
+        raise BadInput("b-coloring check needs a total coloring")
     if c.k != k:
         return False
     if not is_proper(c, g):

@@ -99,11 +99,7 @@ def lemma_extension(g: Graph, bs: BunchStructure) -> PartialColoring:
 
 
 def swap_repair(
-    c: PartialColoring,
-    g: Graph,
-    bs: BunchStructure,
-    t: int,
-    trace: list[int] | None = None,
+    c: PartialColoring, g: Graph, bs: BunchStructure, t: int
 ) -> PartialColoring:
     """Remove monochromatic edges between X_t and earlier bunches by swaps.
 
@@ -117,80 +113,59 @@ def swap_repair(
       (d) t = d: the position whose neighbor lies in X_k for clash color k.
     The monochromatic count strictly decreases every iteration.
     """
-    d = bs.d
     bunch = bs.bunches[t - 1]
-    earlier = [v for i in range(t - 1) for v in bs.bunches[i]]
-    earlier_set = set(earlier)
+    earlier = {v for b in bs.bunches[: t - 1] for v in b}
+    # swaps move colors, never edges: each position's earlier neighbors and
+    # their (0-based) bunch indices hold for the whole call
+    back = [[w for w in g.adj[v] if w in earlier] for v in bunch]
+    back_bunch = [[bs.position[w][0] for w in ws] for ws in back]
 
-    def mono_edges() -> list[tuple[int, int]]:
-        out = []
-        for s, v in enumerate(bunch):
-            for w in g.adj[v]:
-                if w in earlier_set and c.color(w) == c.color(v):
-                    out.append((w, v))
-        return out
+    def clashes() -> list[tuple[int, int]]:
+        """(earlier bunch position, X_t position) of each monochromatic edge."""
+        return [
+            (bs.position[w], s)
+            for s, v in enumerate(bunch)
+            for w in back[s]
+            if c.color(w) == c.color(v)
+        ]
 
-    def back_nbrs(v: int) -> list[int]:
-        return [w for w in g.adj[v] if w in earlier_set]
-
-    current = mono_edges()
-    if trace is not None:
-        trace.append(len(current))
+    current = clashes()
     while current:
-        before = len(current)
-        w0, v0 = min(
-            current, key=lambda e: (bs.position[e[0]], bs.position[e[1]])
-        )
-        k = c.color(v0)
-        i = bs.position[w0][0]  # 0-based offending bunch
-        s = bunch.index(v0)
-        partner = None
-        # case (a)
-        for p, vp in enumerate(bunch):
-            if p != s and not back_nbrs(vp):
-                partner = p
-                break
-        # case (b)
+        (i, _), s = min(current)
+        k = c.color(bunch[s])
+
+        def first(ok) -> int | None:
+            return next((p for p in range(len(bunch)) if p != s and ok(p)), None)
+
+        partner = first(lambda p: not back[p])  # (a)
+        if partner is None:  # (b)
+            partner = first(lambda p: i in back_bunch[p])
         if partner is None:
-            for p, vp in enumerate(bunch):
-                if p != s and any(bs.position[w][0] == i for w in back_nbrs(vp)):
-                    partner = p
-                    break
-        # case (c); when every position has a distinct earlier bunch this
-        # finds nothing and case (d) takes over (only possible at t = d)
-        if partner is None:
+            # (c); when every position has a distinct earlier bunch this
+            # finds nothing and case (d) takes over (only possible at t = d)
             by_bunch: dict[int, list[int]] = {}
-            for p, vp in enumerate(bunch):
-                if p == s:
-                    continue
-                for w in back_nbrs(vp):
-                    by_bunch.setdefault(bs.position[w][0], []).append(p)
-            for ell, ps in sorted(by_bunch.items()):
-                if ell == i or len(ps) < 2:
-                    continue
-                for p in ps:
-                    wp = back_nbrs(bunch[p])[0]
-                    if c.color(wp) != k:
-                        partner = p
-                        break
-                if partner is not None:
-                    break
-        # case (d)
-        if partner is None and t == d:
-            for p, vp in enumerate(bunch):
-                if p == s:
-                    continue
-                if any(bs.position[w][0] == k - 1 for w in back_nbrs(vp)):
-                    partner = p
-                    break
+            for p in range(len(bunch)):
+                if p != s:
+                    for ell in back_bunch[p]:
+                        by_bunch.setdefault(ell, []).append(p)
+            partner = next(
+                (
+                    p
+                    for ell, ps in sorted(by_bunch.items())
+                    if ell != i and len(ps) > 1
+                    for p in ps
+                    if c.color(back[p][0]) != k
+                ),
+                None,
+            )
+        if partner is None and t == bs.d:  # (d)
+            partner = first(lambda p: k - 1 in back_bunch[p])
         if partner is None:
             raise ConstructionFailed(
                 f"swap-repair: no swap case applies at bunch {t}, clash color {k}"
             )
-        c.swap(bunch[partner], v0)
-        current = mono_edges()
-        if trace is not None:
-            trace.append(len(current))
+        c.swap(bunch[partner], bunch[s])
+        before, current = len(current), clashes()
         if len(current) >= before:
             raise ConstructionFailed(
                 f"swap-repair: swap did not decrease the monochromatic count at bunch {t}"
@@ -225,7 +200,7 @@ def color_no_c6(g: Graph, x: int) -> Certificate:
         _bijective_bunch_fill(c, bs, t)
         swap_repair(c, g, bs, t)
     greedy_complete(c, g)
-    cert = _make_certificate(g, "no-c6", bs, c, dict_extra_b={})
+    cert = _make_certificate(g, "no-c6", bs, c)
     return _checked(cert, g)
 
 
@@ -273,7 +248,7 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
     for t in range(5, d + 1):
         color_bunch(c, g, bs, t)
     greedy_complete(c, g)
-    cert = _make_certificate(g, "bounded-c6", bs, c, dict_extra_b={})
+    cert = _make_certificate(g, "bounded-c6", bs, c)
     return _checked(cert, g)
 
 
@@ -282,7 +257,7 @@ def _make_certificate(
     strategy: str,
     bs: BunchStructure,
     c: PartialColoring,
-    dict_extra_b: dict[int, int],
+    dict_extra_b: dict[int, int] | None = None,
     row_order: list[list[int]] | None = None,
 ) -> Certificate:
     """Certificate claiming x for class d+1 and x_i for class i; strategies
@@ -291,7 +266,7 @@ def _make_certificate(
     b_vertices = {d + 1: bs.center}
     for i, xi in enumerate(bs.neighbor_order, start=1):
         b_vertices[i] = xi
-    b_vertices.update(dict_extra_b)
+    b_vertices.update(dict_extra_b or {})
     return Certificate(
         strategy=strategy,
         center=bs.center,
@@ -642,13 +617,12 @@ def color_two_bunch(g: Graph, x: int) -> Certificate:
     return _checked(cert, g)
 
 
-STRATEGIES = ("no-c6", "bounded-c6", "two-bunch")
-
 _STRATEGY_FN = {
     "no-c6": color_no_c6,
     "bounded-c6": color_bounded_c6,
     "two-bunch": color_two_bunch,
 }
+STRATEGIES = tuple(_STRATEGY_FN)
 
 
 @dataclass

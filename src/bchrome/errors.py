@@ -33,37 +33,9 @@ class NoStrategyApplies(PreconditionViolated):
         self.reasons = reasons
 
 
-class GirthTooSmallError(PreconditionViolated):
-    pass
-
-
 class BadInput(BchromeError, ValueError):
     exit_code = 3
     label = "bad input"
-
-
-class SelfLoopError(BadInput):
-    pass
-
-
-class VertexOutOfRangeError(BadInput):
-    pass
-
-
-class NotInS2Error(BadInput):
-    pass
-
-
-class BunchAlreadyColoredError(BadInput):
-    pass
-
-
-class NotTotalError(BadInput):
-    pass
-
-
-class FamilyTooLarge(BadInput):
-    pass
 
 
 class CannotWriteOutput(BadInput):

@@ -121,19 +121,17 @@ def _short_cycle(g: Graph, below: int) -> list[tuple[int, int]] | None:
                         path_w.append(a)
                         a = parent[a]
                     common = set(path_u) & set(path_w)
-                    # Trim to the walk u..meet..w; it is a cycle when the
-                    # two paths only share the meeting point.
+                    # The prefixes up to the lowest common ancestor are
+                    # disjoint, so this is a cycle of length at most
+                    # dist[u] + dist[w] + 1 < below.
                     meet = next(a for a in path_u if a in common)
                     iu = path_u.index(meet)
                     iw = path_w.index(meet)
                     verts = path_u[:iu] + [meet] + list(reversed(path_w[:iw]))
-                    if len(set(verts)) == len(verts):
-                        cyc = [
-                            (verts[i], verts[(i + 1) % len(verts)])
-                            for i in range(len(verts))
-                        ]
-                        if len(cyc) < below:
-                            return cyc
+                    return [
+                        (verts[i], verts[(i + 1) % len(verts)])
+                        for i in range(len(verts))
+                    ]
     return None
 
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadInput,
-    GirthTooSmallError,
-    NotInS2Error,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
+from .errors import BadInput, PreconditionViolated
 
 INF = math.inf
 
@@ -54,7 +48,7 @@ class Graph:
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            raise VertexOutOfRangeError(f"vertex {v} not in 0..{self.n - 1}")
+            raise BadInput(f"vertex {v} not in 0..{self.n - 1}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -68,9 +62,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise BadInput(f"self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise BadInput(f"edge ({u},{v}) outside 0..{n - 1}")
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, adj)
@@ -79,7 +73,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):
-        raise VertexOutOfRangeError("perm is not a permutation of the vertex set")
+        raise BadInput("perm is not a permutation of the vertex set")
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
@@ -210,7 +204,7 @@ class BunchStructure:
 def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> BunchStructure:
     """Bunch structure at x: bunch i is N(x_i) \\ {x} for the i-th neighbor.
 
-    Raises GirthTooSmallError when a vertex would fall in two bunches (or in
+    Raises PreconditionViolated when a vertex would fall in two bunches (or in
     a bunch and in N[x]), which only happens below girth 5.
     """
     g.check_vertex(x)
@@ -227,7 +221,7 @@ def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> Bu
         bunch = sorted(g.adj[xi] - {x})
         for v in bunch:
             if v in seen or v in closed:
-                raise GirthTooSmallError(
+                raise PreconditionViolated(
                     f"vertex {v} falls in two bunches of {x}; girth < 5"
                 )
         seen.update(bunch)
@@ -239,7 +233,7 @@ def s2_degree(g: Graph, x: int, v: int) -> int:
     """Degree of v inside the subgraph induced by S2(x)."""
     s2 = sphere(g, x, 2)
     if v not in s2:
-        raise NotInS2Error(f"vertex {v} is not at distance 2 from {x}")
+        raise BadInput(f"vertex {v} is not at distance 2 from {x}")
     return sum(1 for w in g.adj[v] if w in s2)
 
 
@@ -251,7 +245,7 @@ def count_c6_in_n2(g: Graph, x: int) -> int:
     S2-degree p.
     """
     if girth(g) < 5:
-        raise GirthTooSmallError("C6-in-N2 formula needs girth >= 5")
+        raise PreconditionViolated("C6-in-N2 formula needs girth >= 5")
     s2 = sphere(g, x, 2)
     total = 0
     for v in s2:
@@ -297,7 +291,7 @@ def count_c6_through_vertex(g: Graph, x: int) -> int:
 def closed_bunches(g: Graph, x: int) -> list[int]:
     """0-based indices of bunches whose vertices keep all neighbors in N2(x)."""
     if girth(g) < 5:
-        raise GirthTooSmallError("closed bunches need girth >= 5")
+        raise PreconditionViolated("closed bunches need girth >= 5")
     return closed_bunch_indices(g, bunches(g, x), sphere(g, x, 2))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import PartialColoring, is_b_coloring
-from .errors import BadInput, FamilyTooLarge
+from .errors import BadInput
 from .graph import Graph
 from .transversal import SetFamily
 
@@ -333,7 +333,7 @@ def _canonical_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
 def transversal_backtrack(fam: SetFamily, max_sets: int = 10) -> dict[int, int] | None:
     """Exhaustive injective choice of representatives; None if impossible."""
     if fam.s > max_sets:
-        raise FamilyTooLarge(f"{fam.s} sets exceeds the desk guard of {max_sets}")
+        raise BadInput(f"{fam.s} sets exceeds the desk guard of {max_sets}")
     assignment: dict[int, int] = {}
     used: set[int] = set()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadInput, BunchAlreadyColoredError, ConstructionFailed, HallFailure
+from .errors import BadInput, ConstructionFailed, HallFailure
 from .coloring import PartialColoring
 from .graph import BunchStructure, Graph
 
@@ -103,10 +103,10 @@ def build_bunch_lists(
     """
     d = bs.d
     if any(c.color(v) is not None for v in bs.bunches[t - 1]):
-        raise BunchAlreadyColoredError(f"bunch {t} already (partially) colored")
+        raise BadInput(f"bunch {t} already (partially) colored")
     for earlier in range(t - 1):
         if any(c.color(v) is None for v in bs.bunches[earlier]):
-            raise BunchAlreadyColoredError(
+            raise BadInput(
                 f"bunch {earlier + 1} not fully colored before bunch {t}"
             )
     full = set(range(1, d + 1)) - {t}

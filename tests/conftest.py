@@ -5,7 +5,14 @@ from collections import deque
 
 import pytest
 
-from bchrome.graph import Graph
+from bchrome.coloring import PartialColoring
+from bchrome.construct import (
+    _bijective_bunch_fill,
+    _color_first_bunch,
+    _seed_center,
+    swap_repair,
+)
+from bchrome.graph import Graph, bunches
 from bchrome.generators import cycle, hoffman_singleton, petersen
 
 
@@ -113,6 +120,56 @@ def synthetic_bunch_graph(d: int, seed: int, match_prob: float = 0.9) -> Graph:
             free.discard(v)
             free.discard(w)
     return Graph(n, adj)
+
+
+class CountingColoring(PartialColoring):
+    """PartialColoring that counts its swaps."""
+
+    __slots__ = ("swaps",)
+
+    def __init__(self, n: int, k: int, colors=None):
+        super().__init__(n, k, colors)
+        self.swaps = 0
+
+    def swap(self, u: int, v: int) -> None:
+        self.swaps += 1
+        super().swap(u, v)
+
+
+def back_clashes(c, g, bs, t: int) -> int:
+    """Monochromatic edges between bunch t and the bunches before it."""
+    earlier = {v for bunch in bs.bunches[: t - 1] for v in bunch}
+    return sum(
+        1
+        for v in bs.bunches[t - 1]
+        for w in g.adj[v]
+        if w in earlier and c.color(w) == c.color(v)
+    )
+
+
+def swap_repair_run(d: int, seed: int):
+    """Center 0 of synthetic_bunch_graph(d, seed): seed the center and the
+    first bunch, then fill and swap-repair bunches t = 2..d in turn.
+
+    Returns the graph, the coloring and one (clashes after the fill, swaps)
+    pair per swap_repair call.  Asserts that each call leaves bunch t with
+    no clash and swaps at most once per clash (each swap must lower the
+    count)."""
+    g = synthetic_bunch_graph(d, seed)
+    bs = bunches(g, 0)
+    c = CountingColoring(g.n, d + 1)
+    _seed_center(c, g, bs)
+    _color_first_bunch(c, g, bs)
+    calls = []
+    for t in range(2, d + 1):
+        _bijective_bunch_fill(c, bs, t)
+        clashes, start = back_clashes(c, g, bs, t), c.swaps
+        swap_repair(c, g, bs, t)
+        swaps = c.swaps - start
+        assert back_clashes(c, g, bs, t) == 0
+        assert swaps <= clashes
+        calls.append((clashes, swaps))
+    return g, c, calls
 
 
 def protected_no_c6_graph(d=7, s3=350, seed=0, max_steps=60_000):

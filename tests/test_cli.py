@@ -242,9 +242,24 @@ def test_every_error_class_has_an_exit_code():
 
     from bchrome import errors
 
-    for _, cls in inspect.getmembers(errors, inspect.isclass):
-        if issubclass(cls, errors.BchromeError) and cls is not errors.BchromeError:
-            assert cls.exit_code in (2, 3, 4, 5) and cls.label, cls
+    bases = {
+        errors.PreconditionViolated,
+        errors.BadInput,
+        errors.GenerationFailed,
+        errors.ConstructionFailed,
+    }
+    classes = [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.BchromeError) and cls is not errors.BchromeError
+    ]
+    assert bases <= set(classes)
+    for cls in classes:
+        assert cls.exit_code in (2, 3, 4, 5) and cls.label, cls
+        # below the four exit-code bases, a class must carry its own label
+        # or data; a bare marker subclass adds a name and nothing else
+        if cls not in bases:
+            assert "label" in vars(cls) or "__init__" in vars(cls), cls
 
 
 def test_construction_failure_dumps_stdin_graph(capsys, monkeypatch, tmp_path, hs):

@@ -12,7 +12,7 @@ from bchrome.coloring import (
     is_proper,
     verify_certificate,
 )
-from bchrome.errors import CompletionFailedError, ConstructionFailed, NotTotalError
+from bchrome.errors import BadInput, CompletionFailedError, ConstructionFailed
 from bchrome.generators import cycle, hoffman_singleton, petersen
 from bchrome.graph import build_graph
 
@@ -53,7 +53,7 @@ def test_is_proper(pet):
 
 def test_is_b_coloring_requires_total(c5):
     c = PartialColoring(5, 3)
-    with pytest.raises(NotTotalError):
+    with pytest.raises(BadInput, match="b-coloring check needs a total coloring"):
         is_b_coloring(c, c5, 3)
 
 

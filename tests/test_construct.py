@@ -1,21 +1,18 @@
 """The three coloring strategies, the matrix orderer and its checker."""
 
 import copy
-import random
+import hashlib
+import json
 
 import pytest
 
 from bchrome.coloring import (
-    PartialColoring,
     available_colors,
     b_vertices,
     is_proper,
     verify_certificate,
 )
 from bchrome.construct import (
-    _bijective_bunch_fill,
-    _color_first_bunch,
-    _seed_center,
     auto_color,
     check_bunch_matrix,
     color_bounded_c6,
@@ -31,7 +28,7 @@ from bchrome.errors import BadInput, NoStrategyApplies, PreconditionViolated
 from bchrome.generators import GenSpec, cycle, petersen, random_regular_girth
 from bchrome.graph import bunches, count_c6_through_vertex
 
-from conftest import synthetic_bunch_graph
+from conftest import CountingColoring, swap_repair_run, synthetic_bunch_graph
 
 
 def test_guards_reject_small_degree(pet):
@@ -65,21 +62,45 @@ def test_lemma_extension_hs(hs):
 
 
 def test_swap_repair_clears_clashes_and_decreases():
-    rng = random.Random(5)
+    # swap_repair_run asserts per call: no clash left, swaps <= clashes
     for d in (7, 9):
         for seed in range(10):
-            g = synthetic_bunch_graph(d, seed)
-            bs = bunches(g, 0)
-            c = PartialColoring(g.n, d + 1)
-            _seed_center(c, g, bs)
-            _color_first_bunch(c, g, bs)
-            for t in range(2, d + 1):
-                _bijective_bunch_fill(c, bs, t)
-                trace = []
-                swap_repair(c, g, bs, t, trace=trace)
-                assert trace[-1] == 0
-                assert all(a > b for a, b in zip(trace, trace[1:]))
+            g, c, calls = swap_repair_run(d, seed)
+            assert len(calls) == d - 1
             assert is_proper(c, g)
+
+
+# Swaps per synthetic_bunch_graph(d, seed) run, seeds 0..39, and a digest of
+# the final colorings of all 160 runs.  The 1,200 swap_repair calls make 549
+# swaps: 382 by case (a), 107 by (b), 59 by (c) and 1 by (d).
+PINNED_REPAIR_SWAPS = {
+    7: [0, 1, 4, 2, 2, 4, 2, 3, 3, 2, 5, 2, 0, 3, 2, 4, 3, 1, 3, 0,
+        4, 4, 0, 3, 3, 3, 5, 2, 5, 1, 3, 4, 4, 4, 2, 4, 2, 4, 2, 4],
+    8: [2, 4, 1, 3, 3, 3, 4, 1, 5, 3, 7, 3, 2, 4, 5, 3, 2, 3, 4, 1,
+        3, 3, 3, 3, 0, 3, 2, 1, 4, 2, 4, 4, 3, 7, 1, 2, 5, 1, 7, 2],
+    9: [4, 4, 3, 5, 1, 5, 2, 7, 5, 4, 1, 7, 6, 1, 3, 4, 6, 3, 4, 7,
+        3, 4, 1, 6, 5, 4, 2, 5, 8, 4, 3, 3, 1, 3, 1, 7, 4, 5, 4, 3],
+    10: [4, 4, 2, 1, 4, 8, 4, 6, 5, 1, 6, 5, 3, 3, 2, 2, 3, 4, 5, 7,
+         3, 5, 2, 1, 7, 0, 4, 4, 7, 3, 6, 4, 4, 3, 3, 9, 5, 3, 4, 3],
+}
+PINNED_REPAIR_DIGEST = "66367188b320a84d"
+
+
+def test_swap_repair_is_pinned():
+    colorings, swaps, calls = [], {}, []
+    for d, pinned in PINNED_REPAIR_SWAPS.items():
+        swaps[d] = []
+        for seed in range(len(pinned)):
+            _, c, run = swap_repair_run(d, seed)
+            colorings.append(c.colors())
+            swaps[d].append(c.swaps)
+            calls.extend(run)
+    assert swaps == PINNED_REPAIR_SWAPS
+    assert len(calls) == 1200
+    assert sum(1 for clashes, _ in calls if clashes) == 433
+    assert sum(n for _, n in calls) == 549
+    digest = hashlib.sha256(json.dumps(colorings).encode()).hexdigest()[:16]
+    assert digest == PINNED_REPAIR_DIGEST
 
 
 def test_swap_repair_noop_when_clean(hs):
@@ -87,10 +108,10 @@ def test_swap_repair_noop_when_clean(hs):
     c = lemma_extension(hs, bs)
     # bunch 2 is already properly colored; repairing it must not touch it
     before = c.colors()
-    trace = []
-    swap_repair(c, hs, bs, 2, trace=trace)
-    assert trace == [0]
-    assert c.colors() == before
+    counted = CountingColoring(hs.n, c.k, before)
+    swap_repair(counted, hs, bs, 2)
+    assert counted.swaps == 0
+    assert counted.colors() == before
 
 
 def test_order_by_degree_sequences_petersen(pet):

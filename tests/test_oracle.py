@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchrome.coloring import PartialColoring, is_b_coloring
-from bchrome.errors import BadInput, FamilyTooLarge
+from bchrome.errors import BadInput
 from bchrome.generators import cycle, hoffman_singleton, petersen, robertson
 from bchrome.graph import build_graph, count_c6_through_vertex, relabel
 from bchrome.oracle import (
@@ -235,7 +235,7 @@ def test_enumerate_c6_on_c6():
 
 def test_transversal_backtrack_guard():
     fam = SetFamily.of([{1}] * 11, universe=1)
-    with pytest.raises(FamilyTooLarge):
+    with pytest.raises(BadInput, match="11 sets exceeds the desk guard of 10"):
         transversal_backtrack(fam)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchrome.coloring import PartialColoring
-from bchrome.errors import BunchAlreadyColoredError, HallFailure
+from bchrome.errors import BadInput, HallFailure
 from bchrome.generators import hoffman_singleton
 from bchrome.graph import bunches
 from bchrome.oracle import transversal_backtrack
@@ -110,7 +110,7 @@ def test_build_bunch_lists_order_guard():
     g = hoffman_singleton()
     bs = bunches(g, 0)
     c = PartialColoring(g.n, bs.d + 1)
-    with pytest.raises(BunchAlreadyColoredError):
+    with pytest.raises(BadInput, match="bunch 1 not fully colored"):
         build_bunch_lists(c, g, bs, 2)  # bunch 1 not yet colored
 
 
