@@ -64,9 +64,13 @@ def available_colors(c: PartialColoring, g: Graph, v: int) -> set[int]:
 
 
 def is_proper(c: PartialColoring, g: Graph) -> bool:
-    return all(
-        c.color(u) is None or c.color(u) != c.color(v) for u, v in g.edges() if c.color(v) is not None
-    )
+    """No edge has the same color at both ends; uncolored ends never clash."""
+    colors = c._colors
+    for u, nu in enumerate(g.adj):
+        cu = colors[u]
+        if cu is not None and cu in map(colors.__getitem__, nu):
+            return False
+    return True
 
 
 def b_vertices(c: PartialColoring, g: Graph) -> set[int]:
@@ -99,10 +103,11 @@ def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
     Never recolors; raises CompletionFailedError(v) when a vertex has no
     available color (impossible for k >= max degree + 1).
     """
-    for v in range(g.n):
-        if c.color(v) is not None:
+    colors = c._colors
+    for v, nv in enumerate(g.adj):
+        if colors[v] is not None:
             continue
-        used = {c.color(w) for w in g.adj[v]}
+        used = set(map(colors.__getitem__, nv))
         for col in range(1, c.k + 1):
             if col not in used:
                 c.assign(v, col, g)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from base64 import b64decode
 
 from .coloring import Certificate
 from .errors import BadInput, MalformedDimacs, MalformedGraph6, SchemaViolation
@@ -17,8 +18,12 @@ MAX_N = 258047
 
 # Any character outside the printable graph6 range '?'..'~' (63..126).
 _G6_BAD_CHAR = re.compile(r"[^?-~]")
-# str.translate table: each graph6 character to its six data bits.
-_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+# bytes.translate table: each graph6 character to the standard base64 digit
+# of its six data bits.
+_G6_TO_B64 = bytes.maketrans(
+    bytes(range(63, 127)),
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+)
 # bytes.translate table: six data bits (0..63) to their graph6 character.
 _G6_CHARS = bytes((b + 63) & 0xFF for b in range(256))
 
@@ -53,7 +58,10 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise MalformedGraph6(len(s), f"expected {need} body chars, got {len(body)}")
-    bits = body.translate(_G6_BITS)
+    # Each character carries the six bits of its value c - 63, which is the
+    # base64 digit _G6_TO_B64[c]; 'A' (zero) pads the body to whole quads.
+    quads = body.encode("ascii").translate(_G6_TO_B64) + b"A" * (-len(body) % 4)
+    bits = format(int.from_bytes(b64decode(quads), "big"), f"0{6 * len(quads)}b")
     if "1" in bits[nbits:]:
         raise MalformedGraph6(len(s) - 1, "nonzero padding bits")
     # Bit k is the pair (i, j), i < j, of column j, which holds bits
@@ -226,9 +234,12 @@ def read_certificate(text: str) -> Certificate:
     colors = doc["colors"]
     _require(isinstance(colors, list), "$.colors", "must be an array")
     _require(len(colors) == n, "$.colors", f"length {len(colors)} != n = {n}")
-    for i, col in enumerate(colors):
-        _require(_is_int(col), f"$.colors[{i}]", "must be an integer")
-        _require(1 <= col <= k, f"$.colors[{i}]", f"color {col} outside [1, {k}]")
+    # JSON yields no int subclass but bool, so "type is int" is _is_int.
+    # The first bad index is looked up only when the bulk test fails.
+    if colors and not ({*map(type, colors)} == {int} and 1 <= min(colors) and max(colors) <= k):
+        for i, col in enumerate(colors):
+            _require(_is_int(col), f"$.colors[{i}]", "must be an integer")
+            _require(1 <= col <= k, f"$.colors[{i}]", f"color {col} outside [1, {k}]")
     order = doc["neighbor_order"]
     _require(isinstance(order, list) and all(_is_int(v) for v in order),
              "$.neighbor_order", "must be an integer array")

@@ -129,31 +129,40 @@ def girth(g: Graph) -> float:
 
 
 def short_girth(g: Graph) -> float:
-    """The girth when it is at most 5, else inf, from radius-2 set tests.
+    """The girth when it is at most 5, else inf, from radius-2 bitmask tests.
 
-    At each vertex v: a bunch N(u) \\ {v} (u in N(v)) meeting N(v) closes
-    a triangle, and two bunches meeting close a 4-cycle.  Without those,
-    S2(v) is the disjoint union of the bunches, and an edge inside S2(v)
-    closes a 5-cycle through v (or a triangle, when both ends share a
-    bunch).  A shortest cycle of length <= 5 is found at each of its
+    Each neighbourhood N(u) is an integer bitmask.  At each vertex v, the
+    union U of N(u) over u in N(v) holds v and the bunches N(u) \\ {v}.
+    U meeting N(v) closes a triangle; U smaller than sum deg(u) - deg(v) + 1
+    means two bunches meet, which closes a 4-cycle.  Without those,
+    S2(v) = U \\ {v} is the disjoint union of the bunches, and an edge
+    inside S2(v) closes a 5-cycle through v (or a triangle, when both ends
+    share a bunch).  A shortest cycle of length <= 5 is found at each of its
     vertices, and no test reports a length below the girth, so the minimum
     over all v is exact.
     """
+    adj = g.adj
+    mask = []
+    for a in adj:
+        m = 0
+        for w in a:
+            m |= 1 << w
+        mask.append(m)
     best = INF
-    for v in range(g.n):
-        nv = g.adj[v]
-        s2: set[int] = set()
-        total = 0
+    for v, nv in enumerate(adj):
+        union = total = 0
         for u in nv:
-            au = g.adj[u]
-            if not au.isdisjoint(nv):
-                return 3
-            s2 |= au
-            total += len(au) - 1
-        s2.discard(v)
-        if len(s2) != total:
+            union |= mask[u]
+            total += len(adj[u])
+        if not union:
+            continue  # an isolated vertex lies on no cycle
+        if union & mask[v]:
+            return 3
+        if union.bit_count() != total - len(nv) + 1:
             best = 4
-        elif best > 5 and any(not g.adj[w].isdisjoint(s2) for w in s2):
+        elif best > 5 and any(mask[w] & union for u in nv for w in adj[u]):
+            # w runs over U = S2(v) + {v}.  N(v) misses U, and no w in S2(v)
+            # is adjacent to v, so a hit is an edge inside S2(v).
             best = 5
     return best
 

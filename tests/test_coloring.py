@@ -51,6 +51,63 @@ def test_is_proper(pet):
     assert not is_proper(c, pet)
 
 
+def _random_graph(rng, n, p):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+
+
+def _proper_by_edges(colors, g):
+    """Properness from its definition: no edge has two equal colours."""
+    return not any(colors[u] is not None and colors[u] == colors[v]
+                   for u, v in g.edges())
+
+
+def test_is_proper_matches_edge_definition():
+    import random
+
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(1500):
+        g = _random_graph(rng, rng.randint(0, 12), rng.random())
+        k = rng.randint(1, 4)
+        colors = [None if rng.random() < 0.4 else rng.randint(1, k) for _ in range(g.n)]
+        want = _proper_by_edges(colors, g)
+        assert is_proper(PartialColoring(g.n, k, colors), g) == want
+        seen.add(want)
+        for u, v in g.edges()[:3]:
+            # None at one end or at both ends never clashes; two equal
+            # colours on the ends always do, wherever the edge lies.
+            for cu, cv, proper in ((None, 1, True), (1, None, True), (None, None, True),
+                                   (1, 1, False), (1, 2, True)):
+                trial = [None] * g.n
+                trial[u], trial[v] = cu, cv
+                assert is_proper(PartialColoring(g.n, 2, trial), g) == proper
+            trial = list(colors)
+            trial[u] = trial[v] = k
+            assert not is_proper(PartialColoring(g.n, k, trial), g)
+    assert seen == {True, False}
+
+
+def test_greedy_complete_is_first_fit():
+    import random
+
+    rng = random.Random(12)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 12), rng.random() * 0.6)
+        k = max(len(a) for a in g.adj) + 1
+        c = PartialColoring(g.n, k)
+        for v in rng.sample(range(g.n), rng.randint(0, g.n)):
+            free = [col for col in range(1, k + 1)
+                    if all(c.color(w) != col for w in g.adj[v])]
+            c.assign(v, rng.choice(free), g)
+        want = c.colors()
+        for v in range(g.n):
+            if want[v] is None:
+                want[v] = min(set(range(1, k + 1)) - {want[w] for w in g.adj[v]})
+        assert greedy_complete(c, g) is c
+        assert c.colors() == want
+
+
 def test_is_b_coloring_requires_total(c5):
     c = PartialColoring(5, 3)
     with pytest.raises(BadInput, match="b-coloring check needs a total coloring"):

@@ -211,6 +211,87 @@ def test_graph6_fuzz_no_crashes():
             pass
 
 
+def reference_graph6(text):
+    """graph6 decoded one bit at a time, with no code shared with
+    parse_graph6: ("graph", n, edges) with edges sorted, or ("reject",
+    position) with the position parse_graph6 must report."""
+    s = text.strip()
+    if not s:
+        return ("reject", 0)
+    prefix = ">>graph6<<"
+    if s[:len(prefix)] == prefix:
+        s = s[len(prefix):]
+        if not s:
+            return ("reject", len(prefix))
+    for pos, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            return ("reject", pos)
+    values = [ord(ch) - 63 for ch in s]
+    if s[0] == "~":
+        if len(s) < 4:
+            return ("reject", len(s))
+        if s[1] == "~":
+            return ("reject", 1)
+        n = values[1] * 64 * 64 + values[2] * 64 + values[3]
+        body = values[4:]
+    else:
+        n = values[0]
+        body = values[1:]
+    # The length test comes first: a header can claim n up to 258047.
+    if len(body) != -(-(n * (n - 1) // 2) // 6):
+        return ("reject", len(s))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bits = []
+    for value in body:
+        for shift in (5, 4, 3, 2, 1, 0):
+            bits.append((value >> shift) & 1)
+    if any(bits[len(pairs):]):
+        return ("reject", len(s) - 1)
+    return ("graph", n, sorted(pair for pair, bit in zip(pairs, bits) if bit))
+
+
+def decoded(text):
+    """parse_graph6's answer in reference_graph6's form."""
+    try:
+        g = parse_graph6(text)
+    except MalformedGraph6 as e:
+        return ("reject", e.position)
+    return ("graph", g.n, sorted(g.edges()))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_graph6_matches_bitwise_reference(p):
+    for n in range(71):
+        g = random_graph(n, p, n)
+        enc = write_graph6(g)
+        assert decoded(enc) == reference_graph6(enc) == ("graph", n, sorted(g.edges())), n
+
+
+def test_graph6_matches_bitwise_reference_on_pinned_graphs(digest_graphs):
+    assert len(digest_graphs) == len(WRITE_GRAPH6_DIGESTS)
+    for name, g in digest_graphs.items():
+        enc = write_graph6(g)
+        assert decoded(enc) == reference_graph6(enc) == ("graph", g.n, sorted(g.edges())), name
+
+
+def test_graph6_matches_bitwise_reference_on_fuzz():
+    # The byte fuzz corpus of test_graph6_fuzz_no_crashes, then strings over
+    # the graph6 alphabet (with and without the prefix), which reach the
+    # length, header and padding checks.
+    rng = random.Random(0)
+    corpus = [fuzz_bytes(rng) for _ in range(20_000)]
+    rng = random.Random(5)
+    for _ in range(20_000):
+        s = "".join(chr(rng.randint(63, 126)) for _ in range(rng.randint(0, 12)))
+        corpus.append(rng.choice(("", ">>graph6<<", " ")) + s)
+    verdicts = set()
+    for s in corpus:
+        want = reference_graph6(s)
+        assert decoded(s) == want, repr(s)
+        verdicts.add(want[0] if want[0] == "graph" else want)
+    assert "graph" in verdicts and len(verdicts) > 10
+
+
 def test_dimacs_fuzz_no_crashes():
     rng = random.Random(1)
     for _ in range(20_000):
@@ -269,6 +350,38 @@ def test_certificate_rejects_color_out_of_range(hs):
     doc["colors"][0] = doc["k"] + 1
     with pytest.raises(SchemaViolation):
         read_certificate(json.dumps(doc))
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "must be an integer"), (1.0, "must be an integer"),
+     (0, "color 0 outside [1, 8]"), (9, "color 9 outside [1, 8]")],
+    ids=["true", "float", "zero", "k+1"],
+)
+def test_certificate_color_rejects_path_and_message(hs, value, message, at_end):
+    import json
+
+    doc = json.loads(write_certificate(make_cert(hs)))
+    assert doc["k"] == 8 and doc["n"] == 50
+    i = doc["n"] - 1 if at_end else 0
+    doc["colors"][i] = value
+    with pytest.raises(SchemaViolation) as exc:
+        read_certificate(json.dumps(doc))
+    assert exc.value.path == f"$.colors[{i}]"
+    assert str(exc.value) == f"certificate schema violation at $.colors[{i}]: {message}"
+
+
+def test_certificate_color_rejects_name_the_first_bad_index(hs):
+    import json
+
+    doc = json.loads(write_certificate(make_cert(hs)))
+    doc["colors"][3] = 9
+    doc["colors"][7] = True
+    doc["colors"][49] = "1"
+    with pytest.raises(SchemaViolation) as exc:
+        read_certificate(json.dumps(doc))
+    assert str(exc.value) == "certificate schema violation at $.colors[3]: color 9 outside [1, 8]"
 
 
 def test_certificate_rejects_non_json():

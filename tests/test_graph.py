@@ -127,6 +127,64 @@ def test_short_girth_random_graphs():
     assert {3, 4, 5, 6, math.inf} <= seen
 
 
+def _cycle_edges(vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+@pytest.mark.parametrize(
+    "n, edges, expected",
+    [
+        # A shorter cycle seen later must still win over one seen earlier.
+        (7, _cycle_edges([0, 1, 2, 3]) + _cycle_edges([4, 5, 6]), 3),
+        (9, _cycle_edges([0, 1, 2, 3]) + [(3, 4), (4, 5)] + _cycle_edges([6, 7, 8]), 3),
+        (9, _cycle_edges([0, 1, 2, 3, 4]) + _cycle_edges([5, 6, 7, 8]), 4),
+        (8, _cycle_edges([0, 1, 2, 3, 4]) + _cycle_edges([5, 6, 7]), 3),
+        (12, _cycle_edges(list(range(6))) + _cycle_edges([6, 7, 8, 9, 10]) + [(5, 11)], 5),
+        # Isolated vertices, alone or beside a cycle.
+        (6, [], math.inf),
+        (8, _cycle_edges([2, 3, 4, 5, 6]), 5),
+        (7, _cycle_edges([3, 4, 5, 6]), 4),
+        (5, [(0, 4), (4, 2), (2, 0)], 3),
+        # Several components.
+        (13, _cycle_edges([0, 1, 2, 3, 4, 5]) + _cycle_edges([6, 7, 8, 9, 10, 11, 12]), math.inf),
+        (11, _cycle_edges([0, 1, 2, 3, 4, 5, 6]) + _cycle_edges([7, 8, 9, 10]), 4),
+        # Irregular degrees: a star, K_{2,3}, a wheel, a tree, C5 with pendants.
+        (6, [(0, v) for v in range(1, 6)], math.inf),
+        (5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], 4),
+        (6, _cycle_edges([1, 2, 3, 4, 5]) + [(0, v) for v in range(1, 6)], 3),
+        (7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], math.inf),
+        (8, _cycle_edges([0, 1, 2, 3, 4]) + [(0, 5), (0, 6), (3, 7)], 5),
+        # d = 0 and d = 1.
+        (1, [], math.inf),
+        (8, [(0, 1), (2, 3), (4, 5), (6, 7)], math.inf),
+    ],
+    ids=["c4-then-triangle", "c4-path-triangle", "c5-then-c4", "c5-then-triangle",
+         "c6-c5-pendant", "isolated-only", "isolated-c5", "isolated-c4",
+         "isolated-triangle", "c6-c7", "c7-c4", "star", "k23", "wheel", "tree",
+         "c5-pendants", "d0", "d1"],
+)
+def test_short_girth_scan_order_cases(n, edges, expected):
+    g = build_graph(n, edges)
+    assert _short(girth(g)) == expected
+    assert short_girth(g) == expected
+
+
+def test_short_girth_matches_girth_on_small_random_graphs():
+    import random
+
+    rng = random.Random(2024)
+    seen = set()
+    for seed in range(2000):
+        n = rng.randint(0, 14)
+        # Mostly sparse, so every girth class turns up, not only triangles.
+        p = rng.choice((0.1, 0.15, 0.2, 0.3, 0.5))
+        g = random_graph(n, p, seed)
+        gth = girth(g)
+        seen.add(gth if gth <= 5 or gth == math.inf else 6)
+        assert short_girth(g) == _short(gth), seed
+    assert seen == {3, 4, 5, 6, math.inf}
+
+
 def test_bunch_s2_matches_bfs_sphere(pet, hs, heawood):
     for g in (pet, hs, heawood, random_graph(30, 0.1, 4)):
         for x in range(g.n):
