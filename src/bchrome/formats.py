@@ -234,10 +234,10 @@ def read_certificate(text: str) -> Certificate:
     colors = doc["colors"]
     _require(isinstance(colors, list), "$.colors", "must be an array")
     _require(len(colors) == n, "$.colors", f"length {len(colors)} != n = {n}")
-    # JSON yields no int subclass but bool, so "type is int" is _is_int.
-    # The first bad index is looked up only when the bulk test fails.
-    if colors and not ({*map(type, colors)} == {int} and 1 <= min(colors) and max(colors) <= k):
-        for i, col in enumerate(colors):
+    # JSON yields no int subclass but bool, so "type is int" is _is_int; the
+    # paths and messages are built only for a bad colour.
+    for i, col in enumerate(colors):
+        if type(col) is not int or not 1 <= col <= k:
             _require(_is_int(col), f"$.colors[{i}]", "must be an integer")
             _require(1 <= col <= k, f"$.colors[{i}]", f"color {col} outside [1, {k}]")
     order = doc["neighbor_order"]

@@ -118,12 +118,24 @@ def _mixed_graph(seed):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, a)])
 
 
+def _small_gnp(seed):
+    """Seeded G(n, p) with n <= 14, mostly sparse, so every girth class
+    turns up, not only triangles."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(0, 14)
+    return random_graph(n, rng.choice((0.1, 0.15, 0.2, 0.3, 0.5)), seed)
+
+
 def test_short_girth_random_graphs():
+    graphs = [(("mixed", s), _mixed_graph(s)) for s in range(50)]
+    graphs += [(("gnp", s), _small_gnp(s)) for s in range(2000)]
     seen = set()
-    for seed in range(50):
-        g = _mixed_graph(seed)
-        seen.add(girth(g))
-        assert short_girth(g) == _short(girth(g)), seed
+    for key, g in graphs:
+        gth = girth(g)
+        seen.add(gth)
+        assert short_girth(g) == _short(gth), key
     assert {3, 4, 5, 6, math.inf} <= seen
 
 
@@ -167,22 +179,6 @@ def test_short_girth_scan_order_cases(n, edges, expected):
     g = build_graph(n, edges)
     assert _short(girth(g)) == expected
     assert short_girth(g) == expected
-
-
-def test_short_girth_matches_girth_on_small_random_graphs():
-    import random
-
-    rng = random.Random(2024)
-    seen = set()
-    for seed in range(2000):
-        n = rng.randint(0, 14)
-        # Mostly sparse, so every girth class turns up, not only triangles.
-        p = rng.choice((0.1, 0.15, 0.2, 0.3, 0.5))
-        g = random_graph(n, p, seed)
-        gth = girth(g)
-        seen.add(gth if gth <= 5 or gth == math.inf else 6)
-        assert short_girth(g) == _short(gth), seed
-    assert seen == {3, 4, 5, 6, math.inf}
 
 
 def test_bunch_s2_matches_bfs_sphere(pet, hs, heawood):
