@@ -186,13 +186,13 @@ def _bijective_bunch_fill(
 def color_no_c6(g: Graph, x: int) -> Certificate:
     """b-coloring with d+1 colors around a center on no 6-cycle."""
     d = _require_regular_girth5(g)
-    if count_c6_through_vertex(g, x) != 0:
+    bs = bunches(g, x)
+    if bs.c6_through(g) != 0:
         raise PreconditionViolated(f"vertex {x} lies on a 6-cycle")
     # This also leaves every S2 vertex v at most one neighbor in S2, as
     # swap_repair needs: at girth 5 two such neighbors w1, w2 lie in
     # different bunches B_i, B_j (else x_i-w1-v-w2 is a 4-cycle), and
     # x-x_i-w1-v-w2-x_j-x is a 6-cycle.
-    bs = bunches(g, x)
     c = PartialColoring(g.n, d + 1)
     _seed_center(c, g, bs)
     _color_first_bunch(c, g, bs)
@@ -227,7 +227,7 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
     s2deg = bs.s2_degrees(g)
-    # count_c6_in_n2's closed formula, over the degrees already at hand
+    # BunchStructure.c6_in_n2's closed formula, over the degrees at hand
     cnt = sum(p * (p - 1) // 2 for p in s2deg.values())
     if cnt > 5:
         raise PreconditionViolated(f"{cnt} > 5 six-cycles through {x} in N2[x]")
@@ -668,6 +668,19 @@ class HypothesisReport:
         }
 
 
+def _listed(c6_through: int, c6_in_n2: int, closed_bunch_count: int) -> list[str]:
+    """The strategies whose hypothesis a center with these numbers meets,
+    in STRATEGIES order, once the graph is d-regular with d >= 7 and girth 5."""
+    listed = []
+    if c6_through == 0:
+        listed.append("no-c6")
+    if c6_in_n2 <= 5:
+        listed.append("bounded-c6")
+    if closed_bunch_count >= 2:
+        listed.append("two-bunch")
+    return listed
+
+
 def vertex_census(g: Graph, x: int, d: int | None, gth: float) -> VertexReport:
     """The hypotheses the strategies need at x, for a graph whose common
     degree (None if irregular) and girth the caller has computed."""
@@ -677,13 +690,17 @@ def vertex_census(g: Graph, x: int, d: int | None, gth: float) -> VertexReport:
     cb = len(closed_bunches(g, x)) if girth_ok else None
     vr = VertexReport(x, c6t, c6n2, cb)
     if d is not None and d >= 7 and gth == 5:
-        if c6t == 0:
-            vr.strategies.append("no-c6")
-        if c6n2 is not None and c6n2 <= 5:
-            vr.strategies.append("bounded-c6")
-        if cb is not None and cb >= 2:
-            vr.strategies.append("two-bunch")
+        vr.strategies = _listed(c6t, c6n2, cb)
     return vr
+
+
+def _local_census(g: Graph, x: int) -> VertexReport:
+    """vertex_census at x for a graph already known to be d-regular with
+    d >= 7 and girth 5: the same numbers and strategies, read off one
+    bunches(g, x) without girth() or a cycle search."""
+    bs = bunches(g, x)
+    c6t, c6n2, cb = bs.c6_through(g), bs.c6_in_n2(g), bs.closed_bunch_count(g)
+    return VertexReport(x, c6t, c6n2, cb, _listed(c6t, c6n2, cb))
 
 
 def hypothesis_report(g: Graph) -> HypothesisReport:
@@ -712,8 +729,10 @@ def auto_color(
     """Certificate from the first (vertex, strategy) pair the census
     accepts: vertices ascending (only ``vertex`` when given), each vertex's
     strategies in STRATEGIES order (only ``strategy`` when given).  The
-    census stops at that vertex.  With both arguments there is nothing to
-    choose: the strategy runs at the vertex and its own guard decides.
+    scan stops at that vertex, and censuses each vertex locally
+    (_local_census), by the same rule as hypothesis_report.  With both
+    arguments there is nothing to choose: the strategy runs at the vertex
+    and its own guard decides.
 
     The graph-level preconditions are checked once, before any census.
     When no pair is found, a given strategy raises PreconditionViolated and
@@ -726,14 +745,14 @@ def auto_color(
     if strategy is not None and vertex is not None:
         return _STRATEGY_FN[strategy](g, vertex)
     scan = range(g.n) if vertex is None else [vertex]
-    d, why = _graph_precondition(g)
+    _, why = _graph_precondition(g)
     if why is not None:
         if strategy is not None:
             raise PreconditionViolated(why)
         raise NoStrategyApplies(dict.fromkeys(scan, why))
     reasons: dict[int, str] = {}
     for x in scan:
-        vr = vertex_census(g, x, d, 5)
+        vr = _local_census(g, x)
         listed = [s for s in vr.strategies if strategy in (None, s)]
         if listed:
             return _STRATEGY_FN[listed[0]](g, x)

@@ -7,7 +7,7 @@ construction; every query takes it by read access only.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -208,6 +208,41 @@ class BunchStructure:
         """Each S2 vertex's number of neighbors inside S2."""
         s2 = self.s2
         return {v: len(g.adj[v] & s2) for v in s2}
+
+    # The three hypothesis numbers below count what count_c6_through_vertex,
+    # count_c6_in_n2 and closed_bunches count, from this structure alone.
+    # They are exact at girth >= 5.  bunches() rules out only the 3- and
+    # 4-cycles through the center, so the caller must know the girth.
+
+    def c6_through(self, g: Graph) -> int:
+        """Number of 6-cycles of g through the center.
+
+        A 6-cycle x-a-b-w-b'-a'-x is two non-backtracking 3-walks
+        x-x_i-v-w (v in bunch i, w != x_i) that end at its vertex w opposite
+        x.  At girth >= 5 two such walks to the same w share no inner
+        vertex (a shared x_i or v would close a 4-cycle or put v in two
+        bunches), so each pair of them is one 6-cycle, counted once: the sum
+        of C(p, 2) over the number p of walks that end at each w.
+        """
+        adj = g.adj
+        ends = Counter(
+            w
+            for xi, bunch in zip(self.neighbor_order, self.bunches)
+            for v in bunch
+            for w in adj[v]
+            if w != xi
+        )
+        return sum(p * (p - 1) // 2 for p in ends.values())
+
+    def c6_in_n2(self, g: Graph) -> int:
+        """Number of 6-cycles through the center inside G[N2[center]]: each
+        has its vertex opposite the center in S2, with both of its cycle
+        neighbors in S2, so it adds C(p, 2) at an S2 vertex of S2-degree p."""
+        return sum(p * (p - 1) // 2 for p in self.s2_degrees(g).values())
+
+    def closed_bunch_count(self, g: Graph) -> int:
+        """Number of bunches whose vertices keep all neighbors in N2[center]."""
+        return len(closed_bunch_indices(g, self, self.s2))
 
 
 def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> BunchStructure:

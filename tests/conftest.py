@@ -13,7 +13,7 @@ from bchrome.construct import (
     swap_repair,
 )
 from bchrome.graph import Graph, bunches
-from bchrome.generators import cycle, hoffman_singleton, petersen
+from bchrome.generators import GenSpec, cycle, hoffman_singleton, petersen, random_regular_girth
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,14 @@ def hs():
 @pytest.fixture(scope="session")
 def c5():
     return cycle(5)
+
+
+@pytest.fixture(scope="session")
+def random_d7_n400():
+    """`bchrome gen --family random-regular --n 400 --d 7 --seed 1`: girth 5,
+    no center off every 6-cycle or with two closed bunches, and 299 centers
+    with 1 to 5 six-cycles in N2, where bounded-c6 does real work."""
+    return random_regular_girth(GenSpec(n=400, d=7, girth_min=5, seed=1))
 
 
 def projective_plane_incidence(q: int) -> Graph:

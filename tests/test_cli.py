@@ -389,17 +389,18 @@ def test_color_vertex_auto_censuses_only_that_vertex(capsys, monkeypatch, hs_fil
     from bchrome import construct
 
     seen = []
-    census = construct.vertex_census
+    local = construct._local_census
 
-    def spy(g, x, d, gth):
+    def spy(g, x):
         seen.append(x)
-        return census(g, x, d, gth)
+        return local(g, x)
 
-    def no_full_census(g):
-        raise AssertionError("full census run for one vertex")
+    def no_census(*args):
+        raise AssertionError("census run for one vertex")
 
-    monkeypatch.setattr(construct, "vertex_census", spy)
-    monkeypatch.setattr(construct, "hypothesis_report", no_full_census)
+    monkeypatch.setattr(construct, "_local_census", spy)
+    monkeypatch.setattr(construct, "vertex_census", no_census)
+    monkeypatch.setattr(construct, "hypothesis_report", no_census)
     code, out, _ = run(capsys, ["color", hs_file, "--vertex", "17"])
     assert code == 0 and seen == [17]
     assert out.startswith("strategy: two-bunch  center: 17  k: 8")

@@ -11,8 +11,6 @@ from bchrome.cli import main
 from bchrome.formats import write_graph6
 from bchrome.graph import build_graph, relabel
 
-pytestmark = pytest.mark.usefixtures("girth_once_per_graph")
-
 STRATEGIES = ("no-c6", "bounded-c6", "two-bunch")
 
 

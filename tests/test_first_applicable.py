@@ -1,15 +1,17 @@
 """The selection scan in `auto_color`, behind every `color` mode: it must
-pick the pair the full census would, and census no vertex past that pair."""
+pick the pair the full census would, and census no vertex past that pair,
+each with its own local pass and without girth() or the full census."""
 
 import random
 
 import pytest
 
-from bchrome import construct
+from bchrome import cli, coloring, construct, graph as graph_mod
 from bchrome.cli import main
 from bchrome.construct import STRATEGIES, auto_color, hypothesis_report
 from bchrome.errors import BchromeError, NoStrategyApplies, PreconditionViolated
 from bchrome.formats import write_certificate, write_graph6
+from bchrome.generators import GenSpec, random_regular_girth
 from bchrome.graph import Graph, build_graph, relabel
 
 
@@ -33,6 +35,9 @@ def scan_graphs(hs, pet, c5, heawood, pg27, no_c6_instance):
         "c5": c5,
         "heawood": heawood,
         "pg27": pg27,
+        # d = 7 and girth 5, and no strategy applies at any vertex, so every
+        # scan reads every vertex's numbers
+        "random-d7-n120": random_regular_girth(GenSpec(n=120, d=7, girth_min=5, seed=1)),
         "irregular": build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]),
         "empty": Graph(0, []),
     }
@@ -92,7 +97,7 @@ def _expected(g, rep, strategy):
 
 
 GRAPHS = ["hs", "hs-relabel-1", "hs-relabel-2", "planted", "petersen", "c5",
-          "heawood", "pg27", "irregular", "empty"]
+          "heawood", "pg27", "random-d7-n120", "irregular", "empty"]
 
 
 @pytest.mark.parametrize("name", GRAPHS)
@@ -125,19 +130,26 @@ def test_vertex_strategies_match_full_census(scan_graphs, reports, name):
 
 @pytest.fixture
 def census_spy(monkeypatch):
-    """Vertices censused from here on; a full census fails the test."""
+    """Vertices the scan's local pass reads from here on; a call to
+    girth(), vertex_census or hypothesis_report fails the test."""
     seen = []
-    census = construct.vertex_census
+    local = construct._local_census
 
-    def spy(g, x, d, gth):
+    def spy(g, x):
         seen.append(x)
-        return census(g, x, d, gth)
+        return local(g, x)
 
-    def no_full_census(g):
-        raise AssertionError("color ran the full census")
+    def forbidden(name):
+        def fail(*args):
+            raise AssertionError(f"color called {name}")
 
-    monkeypatch.setattr(construct, "vertex_census", spy)
-    monkeypatch.setattr(construct, "hypothesis_report", no_full_census)
+        return fail
+
+    monkeypatch.setattr(construct, "_local_census", spy)
+    for name in ("vertex_census", "hypothesis_report"):
+        monkeypatch.setattr(construct, name, forbidden(name))
+    for mod in (graph_mod, construct, coloring, cli):
+        monkeypatch.setattr(mod, "girth", forbidden("girth"))
     return seen
 
 
@@ -176,3 +188,11 @@ def test_strategy_scan_stops_at_first_listing_vertex(
     code, out = _color(capsys, tmp_path, no_c6_instance, "--strategy", "bounded-c6")
     assert code == 0 and census_spy == list(range(first + 1))
     assert out.startswith(f"strategy: bounded-c6  center: {first}  k: 8")
+
+
+def test_refusal_reads_only_local_numbers(no_c6_instance, census_spy):
+    """A strategy that applies nowhere costs one local pass per vertex."""
+    g = no_c6_instance
+    with pytest.raises(PreconditionViolated, match="^strategy two-bunch applies to no vertex$"):
+        auto_color(g, "two-bunch")
+    assert census_spy == list(range(g.n))
