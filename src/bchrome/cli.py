@@ -56,8 +56,10 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str) -> Graph:
     text = _read_text(path)
+    # A DIMACS text opens with a "c" or "p" line, which holds whitespace;
+    # graph6 is one token, whose header byte is "c" at n = 36 and "p" at 49.
     stripped = text.lstrip()
-    if stripped[:1] in ("p", "c"):
+    if stripped[:1] in ("p", "c") and len(stripped.split(None, 1)) > 1:
         return parse_dimacs(text)
     return parse_graph6(text)
 
@@ -248,8 +250,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args, g)
     except BchromeError as e:
         if isinstance(e, ConstructionFailed):
-            path = _dump_counterexample(g, argv, e)
-            print(f"construction failed at {e.step}; dump written to {path}", file=sys.stderr)
+            try:
+                dumped = f"dump written to {_dump_counterexample(g, argv, e)}"
+            except OSError as oe:
+                dumped = f"dump not written: {oe}"
+            print(f"construction failed at {e.step}; {dumped}", file=sys.stderr)
         else:
             print(f"{e.label}: {e}", file=sys.stderr)
         return e.exit_code

@@ -6,7 +6,7 @@ of the center's color in every construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadInput, CompletionFailedError, ConstructionFailed
 from .graph import Graph, girth, short_girth
@@ -117,26 +117,28 @@ def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
     return c
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Certificate:
     """Replayable record of a constructed b-coloring.
 
-    b_vertices maps each color class (1..k) to its claimed b-vertex.
-    row_order lists, for matrix-based strategies, the S2 vertices of each
-    row; None for strategies without a row structure.
+    The fields are certificate JSON v1's keys after "version", in its key
+    order (formats.write_certificate).  b_vertices maps each color class
+    (1..k) to its claimed b-vertex.  row_order lists, for matrix-based
+    strategies, the S2 vertices of each row; None for strategies without a
+    row structure.
     """
 
-    strategy: str
-    center: int
-    neighbor_order: list[int]
-    colors: list[int]
-    b_vertices: dict[int, int]
     n: int
     m: int
     d: int
     girth: int
     k: int
+    strategy: str
+    center: int
+    neighbor_order: list[int]
     row_order: list[list[int]] | None = None
+    colors: list[int]
+    b_vertices: dict[int, int]
     provenance: str | None = None
 
 

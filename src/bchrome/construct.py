@@ -30,7 +30,6 @@ from .graph import (
     Graph,
     BunchStructure,
     bunches,
-    closed_bunch_indices,
     closed_bunches,
     count_c6_in_n2,
     count_c6_through_vertex,
@@ -200,7 +199,7 @@ def color_no_c6(g: Graph, x: int) -> Certificate:
         _bijective_bunch_fill(c, bs, t)
         swap_repair(c, g, bs, t)
     greedy_complete(c, g)
-    cert = _make_certificate(g, "no-c6", bs, c)
+    cert = _make_certificate(g, "no-c6", x, bs.neighbor_order, c)
     return _checked(cert, g)
 
 
@@ -226,59 +225,48 @@ def color_bounded_c6(g: Graph, x: int) -> Certificate:
     inside G[N2[x]]."""
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
-    s2deg = bs.s2_degrees(g)
-    # BunchStructure.c6_in_n2's closed formula, over the degrees at hand
-    cnt = sum(p * (p - 1) // 2 for p in s2deg.values())
+    cnt = bs.c6_in_n2(g)
     if cnt > 5:
         raise PreconditionViolated(f"{cnt} > 5 six-cycles through {x} in N2[x]")
-    degs = sorted(s2deg.values(), reverse=True)
-    high = [p for p in degs if p > 1]
-    # Degree split implied by sum C(p,2) <= 5: either all high degrees are 2
-    # (at most five of them), or one 3 and at most two 2s.
-    case_one = all(p == 2 for p in high) and len(high) <= 5
-    case_two = (
-        high.count(3) <= 1 and high.count(2) <= 2 and all(p <= 3 for p in high)
-    )
-    if not (case_one or case_two):
-        raise ConstructionFailed(
-            f"bounded-c6: S2 degree multiset {high} inconsistent with the C6 bound"
-        )
-    bs = bunches(g, x, order_by_degree_sequences(bs, s2deg))
+    bs = bunches(g, x, order_by_degree_sequences(bs, bs.s2_degrees(g)))
     c = lemma_extension(g, bs)
     for t in range(5, d + 1):
         color_bunch(c, g, bs, t)
     greedy_complete(c, g)
-    cert = _make_certificate(g, "bounded-c6", bs, c)
+    cert = _make_certificate(g, "bounded-c6", x, bs.neighbor_order, c)
     return _checked(cert, g)
 
 
 def _make_certificate(
     g: Graph,
     strategy: str,
-    bs: BunchStructure,
+    x: int,
+    neighbor_order: Iterable[int],
     c: PartialColoring,
     dict_extra_b: dict[int, int] | None = None,
     row_order: list[list[int]] | None = None,
 ) -> Certificate:
-    """Certificate claiming x for class d+1 and x_i for class i; strategies
-    that replace some neighbor claims pass them in dict_extra_b."""
-    d = bs.d
-    b_vertices = {d + 1: bs.center}
-    for i, xi in enumerate(bs.neighbor_order, start=1):
+    """Certificate claiming x for class d+1 and the i-th ordered neighbor
+    x_i for class i; strategies that replace some neighbor claims pass them
+    in dict_extra_b."""
+    order = list(neighbor_order)
+    d = len(order)
+    b_vertices = {d + 1: x}
+    for i, xi in enumerate(order, start=1):
         b_vertices[i] = xi
     b_vertices.update(dict_extra_b or {})
     return Certificate(
-        strategy=strategy,
-        center=bs.center,
-        neighbor_order=list(bs.neighbor_order),
-        colors=[c.color(v) for v in range(g.n)],
-        b_vertices=b_vertices,
         n=g.n,
         m=g.m,
         d=d,
         girth=5,  # every strategy starts from _require_regular_girth5
         k=d + 1,
+        strategy=strategy,
+        center=x,
+        neighbor_order=order,
         row_order=row_order,
+        colors=c.colors(),
+        b_vertices=b_vertices,
     )
 
 
@@ -335,7 +323,7 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
     s2 = bs.s2
-    closed = closed_bunch_indices(g, bs, s2)
+    closed = bs.closed_bunch_indices(g)
     if len(closed) < 2:
         raise PreconditionViolated(f"vertex {x} has {len(closed)} closed bunches, need 2")
 
@@ -606,13 +594,8 @@ def color_two_bunch(g: Graph, x: int) -> Certificate:
         d - 1: bm.cells[d - 3][0],  # x_1^{d-2}
         d: bm.cells[d - 2][0],  # x_1^{d-1}
     }
-    bs = BunchStructure(
-        center=x,
-        neighbor_order=tuple(bm.col_attach),
-        bunches=[[bm.cells[r][cidx] for r in range(d - 1)] for cidx in range(d)],
-    )
     cert = _make_certificate(
-        g, "two-bunch", bs, c, dict_extra_b=extra, row_order=bm.row_order()
+        g, "two-bunch", x, bm.col_attach, c, dict_extra_b=extra, row_order=bm.row_order()
     )
     return _checked(cert, g)
 

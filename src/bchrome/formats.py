@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from base64 import b64decode
+from dataclasses import fields
 
 from .coloring import Certificate
 from .errors import BadInput, MalformedDimacs, MalformedGraph6, SchemaViolation
@@ -152,39 +153,13 @@ def write_dimacs(g: Graph) -> str:
 
 CERT_VERSION = 1
 
-_CERT_FIELDS = {
-    "version",
-    "n",
-    "m",
-    "d",
-    "girth",
-    "k",
-    "strategy",
-    "center",
-    "neighbor_order",
-    "row_order",
-    "colors",
-    "b_vertices",
-    "provenance",
-}
+_CERT_FIELDS = {"version", *(f.name for f in fields(Certificate))}
 
 
 def write_certificate(cert: Certificate) -> str:
-    doc = {
-        "version": CERT_VERSION,
-        "n": cert.n,
-        "m": cert.m,
-        "d": cert.d,
-        "girth": cert.girth,
-        "k": cert.k,
-        "strategy": cert.strategy,
-        "center": cert.center,
-        "neighbor_order": list(cert.neighbor_order),
-        "row_order": cert.row_order,
-        "colors": list(cert.colors),
-        "b_vertices": {str(cls): v for cls, v in sorted(cert.b_vertices.items())},
-        "provenance": cert.provenance,
-    }
+    """JSON v1: "version", then the Certificate fields in their order."""
+    doc = {"version": CERT_VERSION, **vars(cert)}
+    doc["b_vertices"] = {str(cls): v for cls, v in sorted(cert.b_vertices.items())}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -260,17 +235,5 @@ def read_certificate(text: str) -> Certificate:
         b_vertices[int(key)] = v
     prov = doc["provenance"]
     _require(prov is None or isinstance(prov, str), "$.provenance", "must be null or string")
-    return Certificate(
-        strategy=doc["strategy"],
-        center=doc["center"],
-        neighbor_order=list(order),
-        colors=list(colors),
-        b_vertices=b_vertices,
-        n=n,
-        m=doc["m"],
-        d=doc["d"],
-        girth=doc["girth"],
-        k=k,
-        row_order=row_order,
-        provenance=prov,
-    )
+    del doc["version"]
+    return Certificate(**{**doc, "b_vertices": b_vertices})

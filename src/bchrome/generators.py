@@ -58,8 +58,9 @@ def hoffman_singleton() -> Graph:
 
 
 # The unique 4-regular girth-5 graph on 19 vertices (the (4,5)-cage).
-# Frozen from a seeded run of random_regular_girth; uniqueness of the cage
-# makes any such output this graph up to isomorphism.
+# robertson() runs random_regular_girth with a fixed seed on first use and
+# keeps its edges; uniqueness of the cage makes any such output this graph
+# up to isomorphism.
 _ROBERTSON_EDGES = None  # filled in below
 
 

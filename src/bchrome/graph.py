@@ -209,10 +209,11 @@ class BunchStructure:
         s2 = self.s2
         return {v: len(g.adj[v] & s2) for v in s2}
 
-    # The three hypothesis numbers below count what count_c6_through_vertex,
-    # count_c6_in_n2 and closed_bunches count, from this structure alone.
-    # They are exact at girth >= 5.  bunches() rules out only the 3- and
-    # 4-cycles through the center, so the caller must know the girth.
+    # The three hypothesis numbers below.  c6_in_n2 and closed_bunch_indices
+    # are the only definitions of theirs; c6_through counts what
+    # count_c6_through_vertex counts.  They are exact at girth >= 5.
+    # bunches() rules out only the 3- and 4-cycles through the center, so
+    # the caller must know the girth.
 
     def c6_through(self, g: Graph) -> int:
         """Number of 6-cycles of g through the center.
@@ -240,9 +241,17 @@ class BunchStructure:
         neighbors in S2, so it adds C(p, 2) at an S2 vertex of S2-degree p."""
         return sum(p * (p - 1) // 2 for p in self.s2_degrees(g).values())
 
+    def closed_bunch_indices(self, g: Graph) -> list[int]:
+        """0-based indices of the bunches whose vertices keep all neighbors
+        in N2[center].  No bunch vertex is adjacent to the center, so the
+        test needs only N(center) and S2."""
+        n2 = self.s2 | g.adj[self.center]
+        return [i for i, bunch in enumerate(self.bunches)
+                if all(g.adj[v] <= n2 for v in bunch)]
+
     def closed_bunch_count(self, g: Graph) -> int:
         """Number of bunches whose vertices keep all neighbors in N2[center]."""
-        return len(closed_bunch_indices(g, self, self.s2))
+        return len(self.closed_bunch_indices(g))
 
 
 def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> BunchStructure:
@@ -282,20 +291,10 @@ def s2_degree(g: Graph, x: int, v: int) -> int:
 
 
 def count_c6_in_n2(g: Graph, x: int) -> int:
-    """Number of 6-cycles through x inside G[N2[x]], by the closed formula.
-
-    Under girth >= 5 each such cycle is counted exactly once at its vertex
-    antipodal to x, contributing C(p, 2) for an S2 vertex of induced
-    S2-degree p.
-    """
+    """BunchStructure.c6_in_n2 at x, once girth() proves girth >= 5."""
     if girth(g) < 5:
         raise PreconditionViolated("C6-in-N2 formula needs girth >= 5")
-    s2 = sphere(g, x, 2)
-    total = 0
-    for v in s2:
-        p = sum(1 for w in g.adj[v] if w in s2)
-        total += p * (p - 1) // 2
-    return total
+    return bunches(g, x).c6_in_n2(g)
 
 
 def count_c6_through_vertex(g: Graph, x: int) -> int:
@@ -333,22 +332,11 @@ def count_c6_through_vertex(g: Graph, x: int) -> int:
 
 
 def closed_bunches(g: Graph, x: int) -> list[int]:
-    """0-based indices of bunches whose vertices keep all neighbors in N2(x)."""
+    """BunchStructure.closed_bunch_indices at x, once girth() proves
+    girth >= 5."""
     if girth(g) < 5:
         raise PreconditionViolated("closed bunches need girth >= 5")
-    return closed_bunch_indices(g, bunches(g, x), sphere(g, x, 2))
-
-
-def closed_bunch_indices(g: Graph, bs: BunchStructure, s2: set[int]) -> list[int]:
-    """closed_bunches for a caller that already holds the bunches and S2 of
-    the center and has proved girth >= 5 itself."""
-    x = bs.center
-    n2 = set(g.adj[x]) | s2
-    out = []
-    for i, bunch in enumerate(bs.bunches):
-        if all(g.adj[v] - {x} <= n2 for v in bunch):
-            out.append(i)
-    return out
+    return bunches(g, x).closed_bunch_indices(g)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:

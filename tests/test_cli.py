@@ -288,6 +288,40 @@ def test_construction_failure_dumps_stdin_graph(capsys, monkeypatch, tmp_path, h
         assert doc["argv"] == argv
 
 
+def test_unwritable_dump_still_names_the_step(capsys, monkeypatch, tmp_path, hs_file):
+    from bchrome import construct
+    from bchrome.errors import ConstructionFailed
+
+    def fail(g, x):
+        raise ConstructionFailed("planted-step", ["a log line"])
+
+    monkeypatch.setitem(construct._STRATEGY_FN, "two-bunch", fail)
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()  # the dump's relative path now names no directory
+    code, out, err = run(capsys, ["color", hs_file, "--strategy", "two-bunch", "--vertex", "0"])
+    assert (code, out) == (5, "")
+    assert err.startswith("construction failed at planted-step; dump not written: ")
+
+
+@pytest.mark.parametrize("n, d, header", [(36, 3, "c"), (49, 4, "p")])
+@pytest.mark.parametrize("cmd", ["info", "hypcheck"])
+def test_graph6_with_a_dimacs_looking_header(capsys, monkeypatch, tmp_path, n, d, header, cmd):
+    import io
+
+    gen = ["gen", "--family", "random-regular", "--n", str(n), "--d", str(d), "--seed", "1"]
+    code, text, _ = run(capsys, gen)
+    assert code == 0 and text[0] == header
+    path = tmp_path / "g.g6"
+    path.write_text(text)
+    code, from_file, err = run(capsys, [cmd, str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(from_file)["n"] == n
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, [cmd, "-"]) == (0, from_file, "")
+
+
 def _fuzz_cert(rng, doc):
     junk = [True, False, None, 1.5, -1, 10**30, "7", [], {}, [True], [1.5]]
     key = rng.choice(sorted(doc))

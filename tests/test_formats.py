@@ -313,6 +313,23 @@ def test_certificate_round_trip(hs):
     assert read_certificate(write_certificate(cert)) == cert
 
 
+V1_KEYS = ["version", "n", "m", "d", "girth", "k", "strategy", "center",
+           "neighbor_order", "row_order", "colors", "b_vertices", "provenance"]
+
+
+@pytest.mark.parametrize("strategy", ["no-c6", "bounded-c6", "two-bunch"])
+def test_certificate_v1_key_order(hs, no_c6_instance, strategy):
+    import json
+
+    from bchrome.construct import auto_color
+
+    g = hs if strategy == "two-bunch" else no_c6_instance
+    cert = auto_color(g, strategy, 0)
+    text = write_certificate(cert)
+    assert list(json.loads(text)) == V1_KEYS
+    assert read_certificate(text) == cert
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchrome.errors import BadInput, PreconditionViolated
-from bchrome.generators import cycle, petersen, random_regular_girth, GenSpec
+from bchrome.generators import cycle, petersen, random_regular_girth, robertson, GenSpec
 from bchrome.graph import (
     build_graph,
     bunches,
-    closed_bunch_indices,
     closed_bunches,
     count_c6_in_n2,
     count_c6_through_vertex,
@@ -192,11 +191,17 @@ def test_bunch_s2_matches_bfs_sphere(pet, hs, heawood):
             assert bs.s2_degrees(g) == {v: s2_degree(g, x, v) for v in bs.s2}
 
 
-def test_closed_bunch_indices_match_closed_bunches(pet, no_c6_instance):
-    for g in (pet, no_c6_instance):
+def test_closed_bunches_match_a_bfs_reference(pet, hs, no_c6_instance):
+    # N2[x] from a BFS sphere, not from the bunches the library reads it off.
+    # Robertson has bunches with some vertices closed and some not.
+    for g in (pet, hs, robertson(), no_c6_instance):
         for x in range(0, g.n, 7):
-            bs = bunches(g, x)
-            assert closed_bunch_indices(g, bs, bs.s2) == closed_bunches(g, x)
+            n2 = sphere(g, x, 2) | g.adj[x] | {x}
+            order = sorted(g.adj[x])
+            ref = [i for i, xi in enumerate(order)
+                   if all(g.adj[v] <= n2 for v in g.adj[xi] - {x})]
+            assert closed_bunches(g, x) == ref, (g, x)
+            assert bunches(g, x).closed_bunch_count(g) == len(ref), (g, x)
 
 
 def test_sphere_petersen(pet):
