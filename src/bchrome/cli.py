@@ -2,8 +2,9 @@
 
 Subcommands: gen, info, hypcheck, color, verify, bchrom.  Exit codes:
 0 success/Accept, 1 Reject, 2 no strategy applies or precondition violated
-(also argparse usage errors), 3 bad or unreadable input, 4 budget exceeded,
-5 construction failed (a counterexample candidate, dumped to a file).
+(also argparse usage errors), 3 bad or unreadable input or unwritable
+output (stdout included), 4 budget exceeded, 5 construction failed (a
+counterexample candidate, dumped to a file).
 Errors map to codes through ``exit_code`` on the classes in ``errors``.
 """
 
@@ -14,6 +15,7 @@ import datetime
 import functools
 import itertools
 import json
+import os
 import sys
 
 from . import construct, generators, oracle
@@ -21,6 +23,7 @@ from .coloring import verify_certificate
 from .errors import (
     BadInput,
     BchromeError,
+    CannotReadInput,
     CannotWriteOutput,
     ConstructionFailed,
 )
@@ -38,7 +41,6 @@ from .graph import Graph, girth
 # The codes commands return themselves; errors carry theirs (see errors.py).
 EXIT_OK = 0
 EXIT_REJECT = 1
-EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 _FAMILIES = ("cycle", "petersen", "hoffman-singleton", "robertson", "random-regular")
@@ -52,6 +54,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise BadInput(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+    except OSError as e:
+        raise CannotReadInput(str(e)) from e
 
 
 def _load_graph(path: str) -> Graph:
@@ -234,6 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the flush at
+    interpreter exit drops what is still buffered instead of failing (and
+    printing a traceback) again.  An in-memory stdout is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -247,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
             g = _load_graph(args.graph)
             if getattr(args, "vertex", None) is not None:
                 g.check_vertex(args.vertex)
-        return args.fn(args, g)
+        code = args.fn(args, g)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
     except BchromeError as e:
         if isinstance(e, ConstructionFailed):
             try:
@@ -259,8 +278,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{e.label}: {e}", file=sys.stderr)
         return e.exit_code
     except OSError as e:
-        print(f"cannot read input: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        # Reads and file writes raise BchromeErrors of their own, so this is
+        # a write to stdout: a full disk, or a reader that closed the pipe.
+        _detach_stdout()
+        print(f"{CannotWriteOutput.label}: stdout: {e}", file=sys.stderr)
+        return CannotWriteOutput.exit_code
 
 
 if __name__ == "__main__":

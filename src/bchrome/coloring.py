@@ -101,7 +101,9 @@ def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
     """First-fit over the uncolored vertices in ascending order.
 
     Never recolors; raises CompletionFailedError(v) when a vertex has no
-    available color (impossible for k >= max degree + 1).
+    available color (impossible for k >= max degree + 1).  The color is
+    written directly: it is absent from ``used``, which holds every
+    neighbor's color, so c.assign's clash scan could not fail.
     """
     colors = c._colors
     for v, nv in enumerate(g.adj):
@@ -110,7 +112,7 @@ def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
         used = set(map(colors.__getitem__, nv))
         for col in range(1, c.k + 1):
             if col not in used:
-                c.assign(v, col, g)
+                colors[v] = col
                 break
         else:
             raise CompletionFailedError(v)

@@ -3,8 +3,8 @@
 Every error carries the CLI exit code it ends in, from one base per code:
 
 - 2 ``PreconditionViolated``: the input lies outside a strategy's hypotheses;
-- 3 ``BadInput``: malformed or out-of-range input (also a ``ValueError``),
-  or an output file that cannot be written;
+- 3 ``BadInput``: malformed, out-of-range or unreadable input (also a
+  ``ValueError``), or an output file that cannot be written;
 - 4 ``GenerationFailed``: the random generator ran out of attempts;
 - 5 ``ConstructionFailed``: a step the theorems guarantee found nothing, so
   the input is a counterexample candidate (or the code has a bug).
@@ -38,8 +38,15 @@ class BadInput(BchromeError, ValueError):
     label = "bad input"
 
 
+class CannotReadInput(BadInput):
+    """An input file or stdin could not be read (an ``OSError``)."""
+
+    label = "cannot read input"
+
+
 class CannotWriteOutput(BadInput):
-    """An output file (``color --out``) could not be written."""
+    """An output file (``color --out``) could not be written.  ``cli.main``
+    reports a failed write to stdout under the same label and code."""
 
     label = "cannot write output"
 

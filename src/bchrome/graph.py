@@ -1,7 +1,10 @@
 """Simple undirected graphs and the structural queries the constructions need.
 
 Vertices are dense integers 0..n-1.  A Graph is immutable after
-construction; every query takes it by read access only.
+construction; every query takes it by read access only.  That is the
+contract of the one value a Graph memoises, ``short_girth``: only the
+parsers and the generators' edge swaps change ``adj`` in place, and they do
+it before anything has queried the graph.
 """
 
 from __future__ import annotations
@@ -18,13 +21,18 @@ INF = math.inf
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1, adjacency stored as sets."""
+    """Undirected simple graph on vertices 0..n-1, adjacency stored as sets.
 
-    __slots__ = ("n", "adj")
+    ``_short_girth`` holds short_girth's answer once it has been computed
+    for this object; it is never shared with another Graph.
+    """
+
+    __slots__ = ("n", "adj", "_short_girth")
 
     def __init__(self, n: int, adj: list[set[int]]):
         self.n = n
         self.adj = adj
+        self._short_girth: float | None = None
 
     @property
     def m(self) -> int:
@@ -128,8 +136,26 @@ def girth(g: Graph) -> float:
     return best
 
 
+# Above this many vertices short_girth runs the set test: the masks grow
+# as n^2/8 bytes when edges join far-apart labels, and on random lifts of
+# Hoffman-Singleton they lose on time from about n = 5000 on.
+MASK_MAX_N = 5000
+
+
 def short_girth(g: Graph) -> float:
-    """The girth when it is at most 5, else inf, from radius-2 bitmask tests.
+    """The girth when it is at most 5, else inf.
+
+    Computed once per Graph object (see the module docstring) by
+    _short_girth_masks, or by _short_girth_sets above MASK_MAX_N vertices.
+    """
+    if g._short_girth is None:
+        test = _short_girth_masks if g.n <= MASK_MAX_N else _short_girth_sets
+        g._short_girth = test(g)
+    return g._short_girth
+
+
+def _short_girth_masks(g: Graph) -> float:
+    """short_girth from radius-2 bitmask tests.
 
     Each neighbourhood N(u) is an integer bitmask.  At each vertex v, the
     union U of N(u) over u in N(v) holds v and the bunches N(u) \\ {v}.
@@ -163,6 +189,35 @@ def short_girth(g: Graph) -> float:
         elif best > 5 and any(mask[w] & union for u in nv for w in adj[u]):
             # w runs over U = S2(v) + {v}.  N(v) misses U, and no w in S2(v)
             # is adjacent to v, so a hit is an edge inside S2(v).
+            best = 5
+    return best
+
+
+def _short_girth_sets(g: Graph) -> float:
+    """short_girth from the same radius-2 tests on sets, in O(n d^3) time
+    and O(d^2) extra memory.
+
+    At each vertex v: a bunch N(u) \\ {v} (u in N(v)) meeting N(v) closes
+    a triangle, and two bunches meeting close a 4-cycle.  Without those,
+    S2(v) is the disjoint union of the bunches, and an edge inside S2(v)
+    closes a 5-cycle through v (or a triangle, when both ends share a
+    bunch).  The minimum over all v is exact, as in _short_girth_masks.
+    """
+    adj = g.adj
+    best = INF
+    for v, nv in enumerate(adj):
+        s2: set[int] = set()
+        total = 0
+        for u in nv:
+            au = adj[u]
+            if not au.isdisjoint(nv):
+                return 3
+            s2 |= au
+            total += len(au) - 1
+        s2.discard(v)
+        if len(s2) != total:
+            best = 4
+        elif best > 5 and any(not adj[w].isdisjoint(s2) for w in s2):
             best = 5
     return best
 

@@ -109,13 +109,12 @@ def build_bunch_lists(
             raise BadInput(
                 f"bunch {earlier + 1} not fully colored before bunch {t}"
             )
+    # Bunch t is uncolored (checked above), so only N(v) takes colors away;
+    # None, an uncolored neighbor, is not in full.
     full = set(range(1, d + 1)) - {t}
-    lists = []
-    for v in bs.bunches[t - 1]:
-        used = {c.color(w) for w in g.adj[v] if c.color(w) is not None}
-        if c.color(v) is not None:
-            used.add(c.color(v))
-        lists.append(full - used)
+    colors = c._colors
+    lists = [full.difference(map(colors.__getitem__, g.adj[v]))
+             for v in bs.bunches[t - 1]]
     return SetFamily.of(lists, d)
 
 

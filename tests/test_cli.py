@@ -1,5 +1,7 @@
 """CLI behavior: subcommands, exit codes, determinism, stdin handling."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -152,6 +154,60 @@ def test_parse_error_exit(capsys, tmp_path):
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, ["info", "/nonexistent/file.g6"])
     assert code == 3
+    assert err == "cannot read input: [Errno 2] No such file or directory: '/nonexistent/file.g6'\n"
+
+
+def test_unreadable_stdin_is_a_read_error(capsys, monkeypatch):
+    class BadStdin(io.StringIO):
+        def read(self, *args):
+            raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(sys, "stdin", BadStdin())
+    code, out, err = run(capsys, ["info", "-"])
+    assert (code, out, err) == (3, "", "cannot read input: [Errno 5] Input/output error\n")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: ``fail_on`` ("write" or "flush") raises."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, s):
+        if self.fail_on == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(s)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "petersen"],
+    ["hypcheck", "{pet}"],
+    ["bchrom", "{pet}"],
+])
+def test_stdout_write_error_is_not_a_read_error(capsys, monkeypatch, pet_file, argv, fail_on):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fail_on))
+    code = main([a.format(pet=pet_file) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, err) == (3, "cannot write output: stdout: [Errno 28] No space left on device\n")
+
+
+def test_broken_pipe_on_stdout_ends_quietly(tmp_path, pet_file):
+    # The reader is gone before bchrome writes: every write is EPIPE.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "bchrome", "hypcheck", pet_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == "cannot write output: stdout: [Errno 32] Broken pipe\n"
 
 
 @pytest.fixture(scope="module")
@@ -505,8 +561,27 @@ def short_girth_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def short_girth_runs(monkeypatch):
+    """Graphs on which short_girth computes its test from here on; a
+    memoised answer adds nothing."""
+    from bchrome import graph
+
+    runs = []
+    for name in ("_short_girth_masks", "_short_girth_sets"):
+        real = getattr(graph, name)
+
+        def spy(g, real=real):
+            runs.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph, name, spy)
+    return runs
+
+
 # One graph check per proof: the selection scan's, when it runs, the
-# chosen strategy's own, and the self-verify of the certificate.
+# chosen strategy's own, and the self-verify of the certificate.  All of
+# them read one girth-5 test, which the Graph memoises.
 @pytest.mark.parametrize("graph, args, checks", [
     ("hs", ["--strategy", "two-bunch", "--vertex", "17"], 2),
     ("planted", ["--strategy", "bounded-c6", "--vertex", "0"], 2),
@@ -519,7 +594,8 @@ def short_girth_calls(monkeypatch):
     ("planted", ["--strategy", "bounded-c6"], 3),
 ])
 def test_color_checks_the_graph_once_per_proof(
-    capsys, tmp_path, hs, no_c6_instance, short_girth_calls, graph, args, checks
+    capsys, tmp_path, hs, no_c6_instance, short_girth_calls, short_girth_runs,
+    graph, args, checks
 ):
     g = {"hs": hs, "planted": no_c6_instance}[graph]
     f = tmp_path / "g.g6"
@@ -527,15 +603,32 @@ def test_color_checks_the_graph_once_per_proof(
     code, _, _ = run(capsys, ["color", str(f), *args])
     assert code == 0
     assert len(short_girth_calls) == checks
+    assert len(short_girth_runs) == 1
+    assert short_girth_runs[0] is short_girth_calls[0]
 
 
-def test_verify_checks_the_graph_once(capsys, tmp_path, hs_file, short_girth_calls):
+def test_short_girth_memo_is_per_graph_object(hs, short_girth_runs):
+    from bchrome.graph import Graph, short_girth
+
+    g = Graph(hs.n, [set(a) for a in hs.adj])
+    h = Graph(hs.n, [set(a) for a in hs.adj])
+    assert g == h
+    assert short_girth(g) == short_girth(g) == 5
+    assert short_girth_runs == [g]
+    assert short_girth(h) == 5
+    assert short_girth_runs == [g, h]
+
+
+def test_verify_checks_the_graph_once(
+    capsys, tmp_path, hs_file, short_girth_calls, short_girth_runs
+):
     cert = tmp_path / "cert.json"
     assert run(capsys, ["color", hs_file, "--out", str(cert)])[0] == 0
     short_girth_calls.clear()
+    short_girth_runs.clear()
     code, out, _ = run(capsys, ["verify", hs_file, str(cert)])
     assert (code, out) == (0, "Accept\n")
-    assert len(short_girth_calls) == 1
+    assert len(short_girth_calls) == len(short_girth_runs) == 1
 
 
 def test_python_dash_m_runs_the_cli(pet):

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from bchrome.errors import BadInput, PreconditionViolated
 from bchrome.generators import cycle, petersen, random_regular_girth, robertson, GenSpec
+from bchrome import graph as graph_mod
 from bchrome.graph import (
+    MASK_MAX_N,
+    _short_girth_masks,
+    _short_girth_sets,
     build_graph,
     bunches,
     closed_bunches,
@@ -97,7 +101,9 @@ def test_short_girth_named_graphs(pet, hs, heawood):
     named += [("K4", k4), ("Petersen", pet), ("HS", hs), ("Heawood", heawood),
               ("path", path), ("empty", build_graph(0, []))]
     for name, g in named:
-        assert short_girth(g) == _short(girth(g)), name
+        want = _short(girth(g))
+        assert short_girth(g) == want, name
+        assert _short_girth_masks(g) == _short_girth_sets(g) == want, name
     assert short_girth(heawood) == math.inf and girth(heawood) == 6
 
 
@@ -135,7 +141,26 @@ def test_short_girth_random_graphs():
         gth = girth(g)
         seen.add(gth)
         assert short_girth(g) == _short(gth), key
+        assert _short_girth_masks(g) == _short_girth_sets(g) == _short(gth), key
     assert {3, 4, 5, 6, math.inf} <= seen
+
+
+@pytest.mark.parametrize("n, test", [(MASK_MAX_N, "masks"), (MASK_MAX_N + 1, "sets")])
+def test_short_girth_drops_the_masks_above_mask_max_n(monkeypatch, n, test):
+    # A cycle with shuffled labels: edges join far-apart labels, where the
+    # masks cost n^2/8 bytes.
+    import random
+
+    label = list(range(n))
+    random.Random(n).shuffle(label)
+    g = build_graph(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+    ran = []
+    for name in ("masks", "sets"):
+        real = getattr(graph_mod, f"_short_girth_{name}")
+        monkeypatch.setattr(graph_mod, f"_short_girth_{name}",
+                            lambda g, real=real, name=name: ran.append(name) or real(g))
+    assert short_girth(g) == math.inf
+    assert ran == [test]
 
 
 def _cycle_edges(vs):
@@ -178,6 +203,7 @@ def test_short_girth_scan_order_cases(n, edges, expected):
     g = build_graph(n, edges)
     assert _short(girth(g)) == expected
     assert short_girth(g) == expected
+    assert _short_girth_masks(g) == _short_girth_sets(g) == expected
 
 
 def test_bunch_s2_matches_bfs_sphere(pet, hs, heawood):
