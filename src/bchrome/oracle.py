@@ -77,13 +77,15 @@ def _candidate_sets(g: Graph, k: int):
     so each set is only ever tried with the identity candidate-to-color
     bijection; duplicates are skipped.
     """
-    eligible = [v for v in range(g.n) if g.degree(v) >= k - 1]
+    adj = g.adj
     seen: set[tuple[int, ...]] = set()
     for v in range(g.n):
-        star = tuple(sorted({v} | g.adj[v]))
-        if len(star) == k and all(g.degree(u) >= k - 1 for u in star) and star not in seen:
-            seen.add(star)
-            yield star
+        if len(adj[v]) == k - 1:
+            star = tuple(sorted({v} | adj[v]))
+            if all(len(adj[u]) >= k - 1 for u in star) and star not in seen:
+                seen.add(star)
+                yield star
+    eligible = [v for v in range(g.n) if len(adj[v]) >= k - 1]
     for comb in combinations(eligible, k):
         if comb not in seen:
             yield comb
@@ -95,6 +97,19 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
     Chooses k candidate b-vertices with distinct colors 1..k, forces each
     candidate's closed neighborhood to realize all k colors, and extends to
     a proper total coloring.  Finds a witness iff one exists, within budget.
+
+    Consecutive candidate sets share their colored prefix: a vertex at the
+    same position of both has the same color, so only the suffix that
+    changed is undone and colored again.
+
+    Root rejection.  A set whose root _b_feasible refuses costs its one
+    root node, as the search would spend on it, and is not searched: no
+    proper assignment of an uncolored v makes the test pass again.  For a
+    candidate c next to v, v takes one uncolored neighbour and at most one
+    missing color, so too few uncolored neighbours stay too few.  A color
+    missing at c that every uncolored neighbour of c already sees is not
+    offered to v when v is one of them, and seen colors stay seen, so it
+    stays missing and blocked.
     """
     if k < 1:
         raise BadInput("k must be positive")
@@ -103,24 +118,37 @@ def b_coloring_exists(g: Graph, k: int, lim: SearchLimits | None = None) -> BCol
         return BColoringResult(NO)
     budget = _Budget(lim)
     st = _Colors(g, k)
+    adj, is_cand = g.adj, st.is_cand
+    # k > Delta: every vertex always has a free color, and _extend ends first-fit.
+    first_fit = k > max(map(len, adj))
     status = NO
+    prev: tuple[int, ...] = ()
     for cand in _candidate_sets(g, k):
+        shared = 0
+        for u, v in zip(prev, cand):
+            if u != v:
+                break
+            shared += 1
+        for v in prev[shared:]:
+            st.unassign(v)
+            is_cand[v] = 0
         # The candidates' colors are distinct, so they cannot clash.
-        for col, v in enumerate(cand, 1):
+        for col, v in enumerate(cand[shared:], shared + 1):
             st.assign(v, col)
-            st.is_cand[v] = 1
-        # Variable order: candidate neighborhoods first, then the rest.
-        nbhd = sorted({w for v in cand for w in g.adj[v]} - set(cand))
-        rest = sorted(set(range(g.n)) - set(cand) - set(nbhd))
-        found = _extend(st, cand, nbhd + rest, len(nbhd), budget)
+            is_cand[v] = 1
+        prev = cand
+        if not _b_feasible(st, cand):
+            # Root rejection: the root is the set's only node.
+            found = False if budget.tick() else None
+        else:
+            # Variable order: the candidates' neighbourhood, then the rest.
+            nbhd = sorted({w for v in cand for w in adj[v] if not is_cand[w]})
+            found = _extend(st, cand, nbhd, budget, first_fit)
         if found is None:
             status = BUDGET
             break
         if found:
             return BColoringResult(YES, list(st.colors), budget.nodes)  # type: ignore[arg-type]
-        for v in cand:
-            st.unassign(v)
-            st.is_cand[v] = 0
     return BColoringResult(status, None, budget.nodes)
 
 
@@ -131,7 +159,8 @@ class _Colors:
     number of u's uncolored neighbours.  A test of "col is free at u" or
     "u sees every color" is then one mask operation instead of a scan of
     u's neighbourhood.  is_cand[u] is 1 iff u is in the current candidate
-    set; b_coloring_exists sets and clears it."""
+    set; b_coloring_exists sets and clears it.  _extend inlines assign and
+    unassign in its loop."""
 
     __slots__ = ("adj", "k", "colors", "nb", "seen", "free", "is_cand")
 
@@ -190,27 +219,48 @@ def _b_feasible(st: _Colors, cand) -> bool:
     return True
 
 
-def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
-    """DFS extension along `order`; True found (st holds the witness),
-    False exhausted (st as on entry), None budget exceeded.
+def _extend(st: _Colors, cand, order, budget, first_fit) -> bool | None:
+    """DFS extension of a root that _b_feasible accepts; True found (st
+    holds the witness), False exhausted (st as on entry), None budget
+    exceeded.  `order` lists the candidates' neighbourhood N(cand) - cand
+    in ascending order.
 
     Iterative, with left[i] the colors order[i] has still to try, so the
     depth is not bounded by the interpreter's recursion limit.  Nodes are
     visited (and ticked) in the order of the plain recursive search: the
     root, then one per accepted assignment.
 
-    Only the first `checked` positions, the candidates' neighbourhood, run
-    _b_feasible; the test is skipped later with the same answer.  Once
-    position checked - 1 is accepted, every vertex of N[cand] is colored,
-    so a missing color would have had no uncolored neighbour to take it:
-    the test passed there only because every candidate sees all k colors.
-    Later positions color vertices outside N[cand], which changes no
-    candidate's closed neighbourhood, so the test would pass again.  When
-    checked == 0 no candidate has a neighbour outside cand, and as each has
-    degree >= k - 1, N[v] = cand for every candidate v: the k distinct
-    candidate colors make each one a b-vertex from the start.
+    Incremental test.  Each position of `order` runs _b_feasible,
+    restricted to the candidates the assignment can fail; the state before
+    it passed the test (the root did in b_coloring_exists, then every
+    accepted assignment).  Coloring v with col changes the uncolored count
+    and the missing colors only at v's neighbours, and elsewhere only adds
+    col to the seen masks of v's neighbours.  So a candidate next to v is
+    tested in full, one not next to v that misses col fails iff every
+    uncolored neighbour of it now sees col, and the others still pass.
 
-    Zero slack.  At those first positions v is not offered a color that
+    Once the last position of `order` is accepted every vertex of N[cand]
+    is colored, so a missing color would have had no uncolored neighbour
+    to take it: the test passed there only because every candidate sees
+    all k colors.  The other vertices lie outside N[cand], and coloring
+    them changes no candidate's closed neighbourhood, so the test would
+    pass again; it is not run there.  When `order` is empty no candidate
+    has a neighbour outside cand, and as each has degree >= k - 1, N[v] =
+    cand for every candidate v: the k distinct candidate colors make each
+    one a b-vertex from the start.
+
+    First-fit completion.  With first_fit (k > Delta) the vertices outside
+    N[cand] are colored by _first_fit, not searched.  There the search
+    offers each vertex its free colors lowest first and tests nothing, and
+    a vertex with fewer than k neighbours always has a free color.  So the
+    first color is accepted at every such position, the search never
+    backtracks into them, and its witness and node count are those of
+    first-fit in ascending order with one node per vertex.  With k <= Delta
+    a vertex of degree >= k can run out of colors, so the search goes on
+    over the uncolored vertices in ascending order, listed when it first
+    gets past N[cand].
+
+    Zero slack.  Inside N(cand) v is not offered a color that
     _b_feasible would reject for lack of uncolored neighbours.  A candidate
     c adjacent to v has zero slack when its uncolored neighbours, v among
     them, are exactly as many as the colors it misses (at k = d + 1 on a
@@ -223,13 +273,23 @@ def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
     the accepted colors, their order, the node count and the witness are
     those of the unfiltered search.
     """
-    adj, colors, seen, free, is_cand = st.adj, st.colors, st.seen, st.free, st.is_cand
+    adj, colors, nb, seen, free, is_cand = st.adj, st.colors, st.nb, st.seen, st.free, st.is_cand
     every = (1 << (st.k + 1)) - 2  # bits 1..k
-    left = [0] * len(order)
+    # (candidate, the colors other than its own)
+    targets = [(c, every ^ (1 << col)) for col, c in enumerate(cand, 1)]
+    checked = len(order)
+    left = [0] * checked
+    tick = budget.tick
     depth = 0
     while True:
-        if not budget.tick():
+        if not tick():
             return None
+        if depth == checked:
+            if first_fit:
+                return _first_fit(st, budget)
+            if len(order) == checked:
+                order = order + [v for v, col in enumerate(colors) if col is None]
+                left += [0] * (len(order) - checked)
         if depth == len(order):
             return True
         v = order[depth]
@@ -240,27 +300,82 @@ def _extend(st: _Colors, cand, order, checked, budget) -> bool | None:
                     missing = every & ~seen[c] & ~(1 << colors[c])
                     if free[c] == missing.bit_count():
                         allowed &= missing
-        left[depth] = allowed
+        # st.unassign, st.assign and the incremental test, inline.
         while True:
-            v = order[depth]
-            allowed = left[depth]
-            while allowed:
-                bit = allowed & -allowed
-                allowed ^= bit
-                st.assign(v, bit.bit_length() - 1)
-                if depth >= checked or _b_feasible(st, cand):
-                    break
-                st.unassign(v)
-            else:
-                # No color fits order[depth]: undo the one before it.
+            col = colors[v]
+            if col is not None:
+                # Undo v's color: the test refused it, or every
+                # extension of it has been tried.
+                colors[v] = None
+                bit = 1 << col
+                for z in adj[v]:
+                    row = nb[z]
+                    row[col] -= 1
+                    if not row[col]:
+                        seen[z] ^= bit
+                    free[z] += 1
+            if not allowed:
+                # No color fits order[depth]: go back to the one before it.
                 if depth == 0:
                     return False
                 depth -= 1
-                st.unassign(order[depth])
+                v = order[depth]
+                allowed = left[depth]
                 continue
-            left[depth] = allowed
-            depth += 1
-            break
+            bit = allowed & -allowed
+            allowed ^= bit
+            col = bit.bit_length() - 1
+            colors[v] = col
+            for z in adj[v]:
+                nb[z][col] += 1
+                seen[z] |= bit
+                free[z] -= 1
+            if depth >= checked:
+                break
+            around = adj[v]
+            for c, others in targets:
+                missing = others & ~seen[c]
+                if not missing:
+                    continue
+                if c in around:
+                    if free[c] < missing.bit_count():
+                        break
+                    blocked = every  # colors that every uncolored neighbour already sees
+                    for w in adj[c]:
+                        if colors[w] is None:
+                            blocked &= seen[w]
+                    if missing & blocked:
+                        break
+                elif missing & bit:
+                    for w in adj[c]:
+                        if colors[w] is None and not seen[w] & bit:
+                            break
+                    else:
+                        break
+            else:
+                break
+        left[depth] = allowed
+        depth += 1
+
+
+def _first_fit(st: _Colors, budget) -> bool | None:
+    """Give every uncolored vertex, in ascending order, its lowest free
+    color, with one node each; True done, None budget exceeded.  Needs
+    fewer than k neighbours at every uncolored vertex.  The search ends
+    here either way, so only `seen` is kept up to date."""
+    adj, colors, seen = st.adj, st.colors, st.seen
+    every = (1 << (st.k + 1)) - 2  # bits 1..k
+    tick = budget.tick
+    for v, col in enumerate(colors):
+        if col is None:
+            allowed = every & ~seen[v]
+            bit = allowed & -allowed
+            colors[v] = bit.bit_length() - 1
+            for z in adj[v]:
+                seen[z] |= bit
+            if not tick():
+                return None
+    return True
 
 
 @dataclass

@@ -3,15 +3,22 @@
 import hashlib
 import json
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bchrome import oracle
 from bchrome.coloring import PartialColoring, is_b_coloring
 from bchrome.errors import BadInput
-from bchrome.generators import cycle, hoffman_singleton, petersen, robertson
+from bchrome.generators import (
+    GenSpec,
+    cycle,
+    hoffman_singleton,
+    petersen,
+    random_regular_girth,
+    robertson,
+)
 from bchrome.graph import build_graph, count_c6_through_vertex, relabel
 from bchrome.oracle import (
     BUDGET,
@@ -88,13 +95,36 @@ def test_zero_node_budget_is_a_budget_answer(pet):
 
 @pytest.mark.parametrize(
     "graph, k, nodes, status",
-    [(petersen, 4, 551, NO), (hoffman_singleton, 8, 43, YES)],
+    [
+        (petersen, 4, 551, NO),
+        (hoffman_singleton, 8, 43, YES),
+        # k > Delta: the last 350 nodes are the first-fit completion
+        pytest.param("no_c6_instance", 8, 393, YES, id="planted-8-393-yes"),
+    ],
 )
-def test_node_count_is_pinned(graph, k, nodes, status):
+def test_node_count_is_pinned(request, graph, k, nodes, status):
     # --node-budget counts these nodes: the search needs exactly `nodes`
-    g = graph()
+    g = request.getfixturevalue(graph) if isinstance(graph, str) else graph()
     assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes)).status == status
     assert b_coloring_exists(g, k, SearchLimits(max_nodes=nodes - 1)).status == BUDGET
+
+
+@pytest.mark.parametrize("max_nodes", [43, 100, 392])
+def test_budget_runs_out_inside_first_fit(no_c6_instance, monkeypatch, max_nodes):
+    # The first star set is feasible: its root and the 42 vertices of its
+    # neighbourhood are nodes 1..43, then first-fit ticks one node per
+    # vertex of the other 350 and stops at the first tick over budget.
+    entered = []
+
+    def spy(st, budget):
+        entered.append(budget.nodes)
+        return first_fit(st, budget)
+
+    first_fit = oracle._first_fit
+    monkeypatch.setattr(oracle, "_first_fit", spy)
+    res = b_coloring_exists(no_c6_instance, 8, SearchLimits(max_nodes=max_nodes))
+    assert (res.status, res.nodes, res.coloring) == (BUDGET, max_nodes + 1, None)
+    assert entered == [43]
 
 
 def _relabelled(g, seed):
@@ -172,11 +202,30 @@ def test_exact_b_chromatic_reports_nodes(pet):
     assert (res.value, res.exact, res.nodes) == (3, True, 551 + 8)
 
 
+def _proper_colourings(g, k):
+    """Every proper colouring with colours 1..k: all of k^n, except that a
+    vertex is not given a colour an earlier neighbour holds."""
+    cols = [0] * g.n
+
+    def rec(v):
+        if v == g.n:
+            yield list(cols)
+            return
+        for col in range(1, k + 1):
+            if all(cols[u] != col for u in g.adj[v] if u < v):
+                cols[v] = col
+                yield from rec(v + 1)
+        cols[v] = 0
+
+    return rec(0)
+
+
 def _brute_force_exists(g, k):
-    """Some colouring among all k^n, judged by is_b_coloring."""
+    """Some proper colouring, judged by is_b_coloring (a b-colouring is
+    proper, so the other colourings of k^n cannot be one)."""
     return any(
-        is_b_coloring(PartialColoring(g.n, k, list(cols)), g, k)
-        for cols in product(range(1, k + 1), repeat=g.n)
+        is_b_coloring(PartialColoring(g.n, k, cols), g, k)
+        for cols in _proper_colourings(g, k)
     )
 
 
@@ -184,7 +233,10 @@ def _cross_check_graphs():
     """Seeded random graphs with n <= 7, plus graphs with isolated vertices
     and a component that is K_k: the star of a K_k vertex is a candidate
     set with no neighbour outside it, the search's empty-neighbourhood
-    case."""
+    case.  Then regular graphs with Delta <= 3, so that k = 1..4 covers
+    both sides of the search's first-fit test (k > Delta) at k = Delta and
+    Delta + 1: cycles, K4, K3,3, relabelled Petersens and seeded 3-regular
+    graphs with n <= 8 (short cycles allowed)."""
     graphs = [random_graph(n, p, seed) for n in (4, 5, 6, 7)
               for p in (0.3, 0.5, 0.7) for seed in range(3)]
     for k in range(1, 5):
@@ -193,6 +245,12 @@ def _cross_check_graphs():
         graphs.append(build_graph(k + 3, clique + [(k, k + 1), (k + 1, k + 2)]))  # K_k + P_3
     graphs.append(build_graph(6, [(0, 1), (2, 3)]))
     graphs.append(build_graph(5, []))
+    graphs += [cycle(5), cycle(6), cycle(7)]
+    graphs.append(build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))  # K4
+    graphs.append(build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)]))  # K3,3
+    graphs += [_relabelled(petersen(), s) for s in range(3)]
+    graphs += [random_regular_girth(GenSpec(n=n, d=3, girth_min=3, seed=s))
+               for n in (6, 8) for s in range(3)]
     return graphs
 
 
