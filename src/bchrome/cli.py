@@ -3,8 +3,9 @@
 Subcommands: gen, info, hypcheck, color, verify, bchrom.  Exit codes:
 0 success/Accept, 1 Reject, 2 no strategy applies or precondition violated
 (also argparse usage errors), 3 bad or unreadable input or unwritable
-output (stdout included), 4 budget exceeded, 5 construction failed (a
-counterexample candidate, dumped to a file).
+output (stdout included), 4 budget exceeded (``bchrom`` ran out of nodes
+or time) or ``gen`` exhausted its attempts (``GenerationFailed``), 5
+construction failed (a counterexample candidate, dumped to a file).
 Errors map to codes through ``exit_code`` on the classes in ``errors``.
 """
 

@@ -317,34 +317,38 @@ def _unique_nb(g: Graph, v: int, pool: Iterable[int], step: str, log: list[str])
 def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     """Order S2(x) into the row/column matrix of the two-bunch theorem.
 
-    Columns 1 and d are the bunches of the two lowest neighbors of x whose
-    bunches are closed.
+    Columns 1 and d are the bunches A and B of the two lowest neighbors of
+    x whose bunches are closed.  At girth 5 a closed bunch A meets every
+    other bunch X_i in a bijection: a vertex of A has its d-1 neighbors
+    besides its attachment in N2[x] (A is closed), none in A or N[x] (a 3-
+    or 4-cycle) and at most one in X_i (a 4-cycle through x_i), so exactly
+    one in each X_i; and two vertices of A share no neighbor in X_i (a
+    4-cycle).  So ``nb[v][xi]``, the neighbor of v in the bunch of xi for v
+    in A or B, and ``to_a[w]``, ``to_b[w]``, the A- and B-vertex next to w,
+    are maps, built once.  The steps that can still fail: choose-X3,
+    xd3-row2-neighbor, xd3-row1-neighbor, xd-d-2-row2-neighbor,
+    row2-nb-of-xd{j}, subcase 2's unexpected bunch and two row-2
+    neighbors, the already-placed and already-ordered checks, ordering
+    incomplete and requirements-check.
     """
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
-    s2 = bs.s2
     closed = bs.closed_bunch_indices(g)
     if len(closed) < 2:
         raise PreconditionViolated(f"vertex {x} has {len(closed)} closed bunches, need 2")
 
-    def bunch(xi: int) -> list[int]:
-        return bs.bunches[bs.neighbor_order.index(xi)]
-
-    def col_of(v: int) -> int:
-        return bs.neighbor_order[bs.bunch_of(v)]
-
     log: list[str] = []
     a, b = bs.neighbor_order[closed[0]], bs.neighbor_order[closed[1]]
-    A, B = set(bunch(a)), set(bunch(b))
+    A, B = set(bs.bunches[closed[0]]), set(bs.bunches[closed[1]])
+    col_of = {v: bs.neighbor_order[i] for v, (i, _) in bs.position.items()}
+    nb = {v: {col_of[w]: w for w in g.adj[v] if w in col_of} for v in A | B}
+    to_a = {w: v for v in A for w in nb[v].values()}
+    to_b = {w: v for v in B for w in nb[v].values()}
 
     col_attach: list[int | None] = [None] * d
     col_attach[0], col_attach[d - 1] = a, b
     row_x1: list[int | None] = [None] * (d - 1)  # x_1^j per paper row j
-    xd_row: list[int | None] = [None] * (d - 1)  # x_d^j per paper row j
     i1: list[int] = []
-
-    def unordered() -> list[int]:
-        return sorted(set(g.adj[x]) - {c for c in col_attach if c is not None})
 
     def set_row(j: int, x1v: int, step: str) -> None:
         if x1v in row_x1:
@@ -352,132 +356,93 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
         row_x1[j - 1] = x1v
         log.append(f"{step}: row {j} anchored at X_1 vertex {x1v}")
 
-    def row_members(j: int) -> set[int]:
-        x1v = row_x1[j - 1]
-        return ({x1v} | g.adj[x1v]) & s2
+    def claim_col(c: int, v: int, failure: str) -> None:
+        """Give paper column c+1 to the bunch of v, which must be unordered."""
+        if col_of[v] in col_attach:
+            raise ConstructionFailed(failure, log)
+        col_attach[c] = col_of[v]
+
+    def used_b() -> set[int]:
+        return {to_b[r] for r in row_x1 if r is not None}
 
     # Step 1: x_d^1 = lowest vertex of X_d; row 1 via its X_1 neighbor.
-    xd_row[0] = min(B)
-    set_row(1, _unique_nb(g, xd_row[0], A, "row1-anchor", log), "step1")
+    xd1 = min(B)
+    set_row(1, to_a[xd1], "step1")
 
     # Step 2: X_2 = lowest unordered bunch; x_2^2 = neighbor of x_d^1 there.
-    col_attach[1] = unordered()[0]
-    x22 = _unique_nb(g, xd_row[0], bunch(col_attach[1]), "x22", log)
-    set_row(2, _unique_nb(g, x22, A, "row2-anchor", log), "step2")
+    col_attach[1] = min(set(g.adj[x]) - {a, b})
+    x22 = nb[xd1][col_attach[1]]
+    set_row(2, to_a[x22], "step2")
     i1.append(x22)
-    xd_row[1] = _unique_nb(g, row_x1[1], B, "xd2", log)
+    # rows 1 and 2 as sets: x_1^j and its neighbors in S2
+    row1, row2 = ({r, *nb[r].values()} for r in row_x1[:2])
 
     # Step 3: pick X_3 with x_d^2 ~ x_3^3 and x_d^3 not~ x_2^1.
-    x21 = _unique_nb(g, row_x1[0], bunch(col_attach[1]), "x21", log)
-    for cand in unordered():
-        v = _unique_nb(g, xd_row[1], bunch(cand), "x33-cand", log)
-        x1v = _unique_nb(g, v, A, "row3-anchor-cand", log)
-        if x1v in (row_x1[0], row_x1[1]):
-            continue
-        xd3 = _unique_nb(g, x1v, B, "xd3-cand", log)
-        if g.has_edge(xd3, x21):
-            continue
-        col_attach[2] = cand
-        set_row(3, x1v, "step3")
-        xd_row[2] = xd3
-        i1.append(v)
-        break
+    xd2, x21 = to_b[row_x1[1]], nb[row_x1[0]][col_attach[1]]
+    for cand in sorted(set(g.adj[x]).difference(col_attach)):
+        v = nb[xd2][cand]
+        x1v = to_a[v]
+        if x1v not in row_x1 and not g.has_edge(to_b[x1v], x21):
+            col_attach[2] = cand
+            set_row(3, x1v, "step3")
+            i1.append(v)
+            break
     else:
         raise ConstructionFailed("choose-X3: no admissible bunch", log)
 
     # Step 4: choose X_4 and X_{d-1} by the subcase of where the row-2
     # neighbor of x_d^3 lives.
-    w = _unique_nb(g, xd_row[2], row_members(2), "xd3-row2-neighbor", log)
-    ordered_now = {c for c in col_attach if c is not None}
-    used_b = lambda: {v for v in xd_row if v is not None}
-
-    if col_of(w) not in ordered_now:
-        subcase = SUBCASE_ONE
-        col_attach[3] = col_of(w)
+    xd3 = to_b[row_x1[2]]
+    w = _unique_nb(g, xd3, row2, "xd3-row2-neighbor", log)
+    if col_of[w] not in col_attach:
+        subcase, label = SUBCASE_ONE, "subcase1"
+        col_attach[3] = col_of[w]
         i1.append(w)  # x_4^2
-        x32 = _unique_nb(g, row_x1[1], bunch(col_attach[2]), "x32", log)
-        xdd1 = _unique_nb(g, x32, B, "xd-last", log)
-        if xdd1 in used_b():
-            raise ConstructionFailed("subcase1: x_d^{d-1} already placed", log)
-        xd_row[d - 2] = xdd1
-        set_row(d - 1, _unique_nb(g, xdd1, A, "row-last-anchor", log), "subcase1")
-        xdd2 = min(B - used_b())
-        xd_row[d - 3] = xdd2
-        set_row(d - 2, _unique_nb(g, xdd2, A, "row-d-2-anchor", log), "subcase1")
-        w2 = _unique_nb(g, xdd2, row_members(2), "xd-d-2-row2-neighbor", log)
-        if col_of(w2) in {c for c in col_attach if c is not None}:
-            raise ConstructionFailed("subcase1: X_{d-1} bunch already ordered", log)
-        col_attach[d - 2] = col_of(w2)
     else:
         # Subcase 2: the proof pins w down to x_3^2.
-        if col_of(w) != col_attach[2]:
+        label = "subcase2"
+        if col_of[w] != col_attach[2]:
             raise ConstructionFailed(
-                f"subcase2: row-2 neighbor of x_d^3 in unexpected bunch {col_of(w)}",
+                f"subcase2: row-2 neighbor of x_d^3 in unexpected bunch {col_of[w]}",
                 log,
             )
-        w1 = _unique_nb(g, xd_row[2], row_members(1), "xd3-row1-neighbor", log)
-        if col_of(w1) in ordered_now:
-            raise ConstructionFailed("subcase2: X_4 bunch already ordered", log)
-        col_attach[3] = col_of(w1)
+        w1 = _unique_nb(g, xd3, row1, "xd3-row1-neighbor", log)
+        claim_col(3, w1, "subcase2: X_4 bunch already ordered")
         i1.append(w1)  # x_4^1
-        x42 = _unique_nb(g, row_x1[1], bunch(col_attach[3]), "x42", log)
-        xdd1 = _unique_nb(g, x42, B, "xd-last", log)
-        if xdd1 in used_b():
-            raise ConstructionFailed("subcase2: x_d^{d-1} already placed", log)
-        xd_row[d - 2] = xdd1
-        set_row(d - 1, _unique_nb(g, xdd1, A, "row-last-anchor", log), "subcase2")
-        zs = sorted(g.adj[w1] & row_members(2))
-        if not zs:
-            subcase = SUBCASE_TWO_NO_ROW2
-            xdd2 = min(B - used_b())
-            xd_row[d - 3] = xdd2
-            set_row(d - 2, _unique_nb(g, xdd2, A, "row-d-2-anchor", log), "subcase2")
-            w2 = _unique_nb(g, xdd2, row_members(2), "xd-d-2-row2-neighbor", log)
-            if col_of(w2) in {c for c in col_attach if c is not None}:
-                raise ConstructionFailed("subcase2: X_{d-1} bunch already ordered", log)
-            col_attach[d - 2] = col_of(w2)
-        else:
-            subcase = SUBCASE_TWO
-            if len(zs) > 1:
-                raise ConstructionFailed("subcase2: x_4^1 has two row-2 neighbors", log)
-            z = zs[0]
-            if col_of(z) in {c for c in col_attach if c is not None}:
-                raise ConstructionFailed("subcase2: z lies in an ordered bunch", log)
-            col_attach[d - 2] = col_of(z)
-            xdd2 = _unique_nb(g, z, B, "xd-d-2", log)
-            if xdd2 in used_b():
-                raise ConstructionFailed("subcase2: x_d^{d-2} already placed", log)
-            xd_row[d - 3] = xdd2
-            set_row(d - 2, _unique_nb(g, xdd2, A, "row-d-2-anchor", log), "subcase2")
+        zs = sorted(g.adj[w1] & row2)
+        subcase = SUBCASE_TWO if zs else SUBCASE_TWO_NO_ROW2
+    # x_d^{d-1} is the X_d neighbor of x_3^2 (subcase 1) or x_4^2 (subcase 2)
+    xdd1 = to_b[nb[row_x1[1]][col_attach[2 if subcase == SUBCASE_ONE else 3]]]
+    if xdd1 in used_b():
+        raise ConstructionFailed(f"{label}: x_d^{{d-1}} already placed", log)
+    set_row(d - 1, to_a[xdd1], label)
+    if subcase == SUBCASE_TWO:
+        if len(zs) > 1:
+            raise ConstructionFailed("subcase2: x_4^1 has two row-2 neighbors", log)
+        claim_col(d - 2, zs[0], "subcase2: z lies in an ordered bunch")
+        xdd2 = to_b[zs[0]]
+        if xdd2 in used_b():
+            raise ConstructionFailed("subcase2: x_d^{d-2} already placed", log)
+        set_row(d - 2, to_a[xdd2], label)
+    else:
+        xdd2 = min(B - used_b())
+        set_row(d - 2, to_a[xdd2], label)
+        w2 = _unique_nb(g, xdd2, row2, "xd-d-2-row2-neighbor", log)
+        claim_col(d - 2, w2, f"{label}: X_{{d-1}} bunch already ordered")
 
     # Step 5: remaining X_d vertices fill rows 4..d-3 ascending; the bunch
     # holding each one's row-2 neighbor becomes the next column.
-    remaining = sorted(B - used_b())
-    for offset, xdj in enumerate(remaining):
-        j = 4 + offset  # paper row index
-        xd_row[j - 1] = xdj
-        set_row(j, _unique_nb(g, xdj, A, f"row{j}-anchor", log), "step5")
+    for j, xdj in enumerate(sorted(B - used_b()), start=4):  # paper row j
+        set_row(j, to_a[xdj], "step5")
     for j in range(4, d - 2):
-        w2 = _unique_nb(g, xd_row[j - 1], row_members(2), f"row2-nb-of-xd{j}", log)
-        if col_of(w2) in {c for c in col_attach if c is not None}:
-            raise ConstructionFailed(
-                f"step5: column for x_d^{j} row-2 neighbor already ordered", log
-            )
-        col_attach[j] = col_of(w2)  # paper column j+1
+        w2 = _unique_nb(g, to_b[row_x1[j - 1]], row2, f"row2-nb-of-xd{j}", log)
+        claim_col(j, w2, f"step5: column for x_d^{j} row-2 neighbor already ordered")
         i1.append(w2)  # x_{j+1}^2
 
     if any(c is None for c in col_attach) or any(v is None for v in row_x1):
         raise ConstructionFailed("ordering incomplete", log)
 
-    cells = []
-    for r in range(d - 1):
-        row = [row_x1[r]]
-        for cidx in range(1, d - 1):
-            row.append(
-                _unique_nb(g, row_x1[r], bunch(col_attach[cidx]), f"cell r{r + 1}", log)
-            )
-        row.append(xd_row[r])
-        cells.append(row)
+    cells = [[r, *(nb[r][c] for c in col_attach[1:-1]), to_b[r]] for r in row_x1]
     bm = BunchMatrix(
         center=x,
         col_attach=[int(c) for c in col_attach],

@@ -246,12 +246,6 @@ class BunchStructure:
     def d(self) -> int:
         return len(self.neighbor_order)
 
-    def bunch_of(self, v: int) -> int:
-        """0-based bunch index of v."""
-        if v not in self.position:
-            raise BadInput(f"vertex {v} is in no bunch of center {self.center}")
-        return self.position[v][0]
-
     @property
     def s2(self) -> set[int]:
         """S2(center), the vertices at distance exactly 2: the union of the

@@ -3,9 +3,11 @@
 import copy
 import hashlib
 import json
+import random
 
 import pytest
 
+from bchrome import construct
 from bchrome.coloring import (
     available_colors,
     b_vertices,
@@ -24,9 +26,14 @@ from bchrome.construct import (
     order_two_bunch,
     swap_repair,
 )
-from bchrome.errors import BadInput, NoStrategyApplies, PreconditionViolated
+from bchrome.errors import (
+    BadInput,
+    ConstructionFailed,
+    NoStrategyApplies,
+    PreconditionViolated,
+)
 from bchrome.generators import GenSpec, cycle, petersen, random_regular_girth
-from bchrome.graph import bunches, count_c6_through_vertex
+from bchrome.graph import bunches, count_c6_through_vertex, relabel
 
 from conftest import CountingColoring, swap_repair_run, synthetic_bunch_graph
 
@@ -86,6 +93,11 @@ PINNED_REPAIR_SWAPS = {
 PINNED_REPAIR_DIGEST = "66367188b320a84d"
 
 
+def _digest(obj) -> str:
+    """First 16 hex digits of the sha256 of obj as JSON."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
 def test_swap_repair_is_pinned():
     colorings, swaps, calls = [], {}, []
     for d, pinned in PINNED_REPAIR_SWAPS.items():
@@ -99,8 +111,7 @@ def test_swap_repair_is_pinned():
     assert len(calls) == 1200
     assert sum(1 for clashes, _ in calls if clashes) == 433
     assert sum(n for _, n in calls) == 549
-    digest = hashlib.sha256(json.dumps(colorings).encode()).hexdigest()[:16]
-    assert digest == PINNED_REPAIR_DIGEST
+    assert _digest(colorings) == PINNED_REPAIR_DIGEST
 
 
 def test_swap_repair_noop_when_clean(hs):
@@ -191,6 +202,37 @@ def test_order_two_bunch_requirements(hs):
         assert ok, reason
         assert bm.d == 7
         assert len(bm.independent_set) == bm.d - 3
+
+
+def _hs_and_relabelled(hs):
+    perm = list(range(hs.n))
+    random.Random(1).shuffle(perm)
+    return hs, relabel(hs, perm)
+
+
+# Digests over every center of HS and of HS relabelled by random.Random(1):
+# the matrices, and the (step, log) of the failure raised when the
+# requirements check refuses each matrix (what a counterexample dump holds).
+# Both were recorded with the search-based ordering the row maps replaced.
+ORDER_TWO_BUNCH_DIGEST = "8f47ca5d12597196"
+ORDER_TWO_BUNCH_FAILURE_DIGEST = "50329cba3568b25b"
+
+
+def test_order_two_bunch_is_pinned(hs):
+    matrices = [vars(order_two_bunch(g, x)) for g in _hs_and_relabelled(hs) for x in range(g.n)]
+    assert _digest(matrices) == ORDER_TWO_BUNCH_DIGEST
+
+
+def test_order_two_bunch_failure_log_is_pinned(hs, monkeypatch):
+    monkeypatch.setattr(construct, "check_bunch_matrix", lambda g, x, bm: (False, "refused"))
+    dumps = []
+    for g in _hs_and_relabelled(hs):
+        for x in range(g.n):
+            with pytest.raises(ConstructionFailed) as exc:
+                order_two_bunch(g, x)
+            dumps.append([exc.value.step, exc.value.log])
+    assert dumps[0][0] == "requirements-check: refused"
+    assert _digest(dumps) == ORDER_TWO_BUNCH_FAILURE_DIGEST
 
 
 def test_two_bunch_needs_two_closed_bunches(no_c6_instance):

@@ -241,7 +241,7 @@ def test_bunches_petersen_default_order(pet):
     assert bs.neighbor_order == (1, 4, 5)
     assert bs.bunches == [[2, 6], [3, 9], [7, 8]]
     assert bs.d == 3
-    assert bs.bunch_of(9) == 1
+    assert bs.position[9] == (1, 1)
 
 
 def test_bunches_reject_triangle():
