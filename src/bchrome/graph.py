@@ -347,37 +347,31 @@ def count_c6_in_n2(g: Graph, x: int) -> int:
 
 
 def count_c6_through_vertex(g: Graph, x: int) -> int:
-    """Number of distinct 6-cycles of g containing x.
+    """Number of distinct 6-cycles of g containing x, at any girth.
 
-    Depth-first path enumeration from x; the two traversal directions of a
-    cycle are collapsed by requiring first step < last step.
+    Meet in the middle: list the simple 3-paths x-a-b-w (at most
+    d(d-1)^2 of them), group them by their end w, and count the unordered
+    pairs x-a-b-w, x-a'-b'-w in each group whose interiors {a, b} and
+    {a', b'} are disjoint.  Such a pair has six distinct vertices, so it
+    closes the 6-cycle x-a-b-w-b'-a'-x.  Conversely a 6-cycle through x
+    splits at its vertex w opposite x into exactly two such 3-paths, one
+    per direction, so it is counted once, in w's group, by that one pair.
     """
     g.check_vertex(x)
-    count = 0
-    path = [x]
-    on_path = {x}
-
-    def extend(v: int, depth: int):
-        nonlocal count
-        if depth == 5:
-            if x in g.adj[v] and path[1] < v:
-                count += 1
-            return
-        for w in g.adj[v]:
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(w, depth + 1)
-                on_path.discard(w)
-                path.pop()
-
-    for first in g.adj[x]:
-        path.append(first)
-        on_path.add(first)
-        extend(first, 1)
-        on_path.discard(first)
-        path.pop()
-    return count
+    adj = g.adj
+    by_end: dict[int, list[tuple[int, int]]] = {}
+    for a in adj[x]:
+        for b in adj[a]:
+            if b != x:
+                for w in adj[b]:
+                    if w != x and w != a:
+                        by_end.setdefault(w, []).append((a, b))
+    return sum(
+        1
+        for paths in by_end.values()
+        for (a, b), (a2, b2) in combinations(paths, 2)
+        if a != a2 and b != b2 and a != b2 and b != a2
+    )
 
 
 def closed_bunches(g: Graph, x: int) -> list[int]:

@@ -463,12 +463,25 @@ CENSUS_JSON_DIGESTS = {
     ("pet", "info"): "23ca8b9b2e69e998",
     ("pet", "info --vertex 3"): "9d497a029200271e",
     ("pet", "hypcheck"): "f3a36cba2e84310a",
+    # Recorded with the depth-5 6-cycle DFS, before the 3-path pairing
+    # replaced it.  This graph has girth 3, so 3-paths to a common end
+    # share interior vertices, which HS and Petersen (girth 5) never do.
+    ("dense", "info"): "bc646fd50b601ab3",
+    ("dense", "info --vertex 3"): "6c1b2847cd183f29",
+    ("dense", "hypcheck"): "def928d69b3b89ae",
 }
 
 
+@pytest.fixture
+def dense_file(tmp_path, capsys):
+    p = tmp_path / "dense.g6"
+    p.write_text(_gen(capsys, "--n", "60", "--d", "12", "--girth-min", "3", "--seed", "1"))
+    return str(p)
+
+
 @pytest.mark.parametrize("graph, cmd", sorted(CENSUS_JSON_DIGESTS))
-def test_census_json_is_unchanged(capsys, hs_file, pet_file, graph, cmd):
-    path = {"hs": hs_file, "pet": pet_file}[graph]
+def test_census_json_is_unchanged(capsys, request, graph, cmd):
+    path = request.getfixturevalue(f"{graph}_file")
     words = cmd.split()
     code, out, _ = run(capsys, [words[0], path] + words[1:])
     assert code == 0

@@ -278,8 +278,13 @@ def test_witnesses_verify_on_random_graphs():
 
 
 def test_enumerate_c6_matches_counter():
-    for seed in range(30):
-        g = random_graph(9, 0.35, seed)
+    # The dense graphs have 3-paths x-a-b-w and x-a'-b'-w to a common end
+    # that share interior vertices in each of the four ways: a = a', b = b',
+    # a = b' and b = a'.
+    specs = [(9, 0.35, seed) for seed in range(30)]
+    specs += [(n, p, seed) for n in (8, 10, 12) for p in (0.5, 0.8) for seed in range(2)]
+    for n, p, seed in specs:
+        g = random_graph(n, p, seed)
         for x in range(g.n):
             assert len(enumerate_c6_through(g, x)) == count_c6_through_vertex(g, x)
 
