@@ -16,7 +16,6 @@ from typing import Iterable
 from .coloring import (
     Certificate,
     PartialColoring,
-    available_colors,
     greedy_complete,
     verify_certificate,
 )
@@ -82,18 +81,16 @@ def lemma_extension(g: Graph, bs: BunchStructure) -> PartialColoring:
     Works for every center of a d-regular girth->=5 graph with d >= 7,
     which the caller has checked: after seeding N[x] and the first bunch,
     bunches 2..4 extend by Hall's theorem regardless of the graph's
-    structure.
+    structure.  Then each of the five is a b-vertex.  x sees d+1 on itself
+    and 1..d on x_1..x_d.  x_t (t <= 4) sees t on itself, d+1 on x, and
+    [d] \\ {t} on its bunch: 2..d on X_1 by the seed, and color_bunch's
+    bijection on X_2..X_4.
     """
     c = PartialColoring(g.n, bs.d + 1)
     _seed_center(c, g, bs)
     _color_first_bunch(c, g, bs)
     for t in range(2, 5):
         color_bunch(c, g, bs, t)
-    for i in range(4):
-        if available_colors(c, g, bs.neighbor_order[i]):
-            raise ConstructionFailed(
-                f"lemma-extension: x_{i + 1} is not a b-vertex after the extension"
-            )
     return c
 
 
@@ -307,11 +304,13 @@ class BunchMatrix:
         return [list(row) for row in self.cells]
 
 
-def _unique_nb(g: Graph, v: int, pool: Iterable[int], step: str, log: list[str]) -> int:
-    found = sorted(g.adj[v].intersection(pool))
-    if len(found) != 1:
-        raise ConstructionFailed(f"{step}: expected one neighbor, got {found}", log)
-    return found[0]
+def _unique_nb(g: Graph, v: int, row: set[int], step: str, log: list[str]) -> int:
+    """The neighbor of v in row (some x_1^j and its S2 neighbors), for v not
+    x_1^j.  v has at most one (order_two_bunch); whether it has one is open."""
+    found = g.adj[v] & row
+    if not found:
+        raise ConstructionFailed(f"{step}: no neighbor in the row", log)
+    return min(found)
 
 
 def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
@@ -325,11 +324,34 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     one in each X_i; and two vertices of A share no neighbor in X_i (a
     4-cycle).  So ``nb[v][xi]``, the neighbor of v in the bunch of xi for v
     in A or B, and ``to_a[w]``, ``to_b[w]``, the A- and B-vertex next to w,
-    are maps, built once.  The steps that can still fail: choose-X3,
-    xd3-row2-neighbor, xd3-row1-neighbor, xd-d-2-row2-neighbor,
-    row2-nb-of-xd{j}, subcase 2's unexpected bunch and two row-2
-    neighbors, the already-placed and already-ordered checks, ordering
-    incomplete and requirements-check.
+    are maps, built once.
+
+    Row j is x_1^j with its S2 neighbors x_i^j (x_i^j in X_i), so the rows
+    partition S2, and to_a[x_d^j] = x_1^j.  A vertex other than x_1^j has at
+    most one neighbor in row j (else a triangle or a 4-cycle through x_1^j).
+    The steps that can fail: choose-X3, the four row look-ups
+    (xd3-row2-neighbor, xd3-row1-neighbor, xd-d-2-row2-neighbor,
+    row2-nb-of-xd{j}) when the row holds no neighbor, the three checks that
+    a column's bunch is still unordered, and requirements-check.  Girth 5
+    rules out the rest:
+
+    - x_d^3's row-2 neighbor w lies in X_3 when its bunch is ordered (A, B,
+      X_2 or X_3): x_d^3's A-neighbor is x_1^3, not x_1^2; B is
+      independent; x_2^2's B-neighbor is x_d^1.  So subcase 2 has w = x_3^2.
+    - In subcase 2, x_d^3's row-1 neighbor x_4^1 has an unordered bunch: not
+      A or B (as for w), not X_2 (step 3 chose X_3 with x_d^3 not~ x_2^1) and
+      not X_3 (x_d^3-x_3^1-x_3-x_3^2 would close a 4-cycle).  Its row-2
+      neighbor z is unique, as x_4^1 is not x_1^2.
+    - No two rows share an anchor, so no X_d vertex is placed twice.  Row
+      2's anchor is not x_1^1 (else x_1^1-x_2^2-x_d^1 is a triangle); step 3
+      skips used anchors; the other rows take X_d vertices not yet placed.
+      Row d-1 takes the X_d neighbor of y = x_3^2 (subcase 1) or x_4^2
+      (subcase 2): not x_d^2 (a triangle with x_1^2), not x_d^1 (whose
+      row-2 neighbor is x_2^2) and not x_d^3 (whose row-2 neighbor w is not
+      y: subcase 1 puts w outside X_3, subcase 2 in X_3).  Row d-2 of
+      subcase 2 takes the X_d neighbor of z, whose bunch is unordered, for
+      the same reasons and as x_d^{d-1}'s row-2 neighbor is x_4^2.  So rows
+      4..d-3 take the d-6 X_d vertices left, and every index is written.
     """
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
@@ -351,8 +373,6 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     i1: list[int] = []
 
     def set_row(j: int, x1v: int, step: str) -> None:
-        if x1v in row_x1:
-            raise ConstructionFailed(f"{step}: row for {x1v} already fixed", log)
         row_x1[j - 1] = x1v
         log.append(f"{step}: row {j} anchored at X_1 vertex {x1v}")
 
@@ -399,31 +419,20 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
         col_attach[3] = col_of[w]
         i1.append(w)  # x_4^2
     else:
-        # Subcase 2: the proof pins w down to x_3^2.
+        # Subcase 2: w is x_3^2, and X_4 is the bunch of x_d^3's row-1
+        # neighbor, which is unordered (docstring).
         label = "subcase2"
-        if col_of[w] != col_attach[2]:
-            raise ConstructionFailed(
-                f"subcase2: row-2 neighbor of x_d^3 in unexpected bunch {col_of[w]}",
-                log,
-            )
         w1 = _unique_nb(g, xd3, row1, "xd3-row1-neighbor", log)
-        claim_col(3, w1, "subcase2: X_4 bunch already ordered")
+        col_attach[3] = col_of[w1]
         i1.append(w1)  # x_4^1
         zs = sorted(g.adj[w1] & row2)
         subcase = SUBCASE_TWO if zs else SUBCASE_TWO_NO_ROW2
     # x_d^{d-1} is the X_d neighbor of x_3^2 (subcase 1) or x_4^2 (subcase 2)
     xdd1 = to_b[nb[row_x1[1]][col_attach[2 if subcase == SUBCASE_ONE else 3]]]
-    if xdd1 in used_b():
-        raise ConstructionFailed(f"{label}: x_d^{{d-1}} already placed", log)
     set_row(d - 1, to_a[xdd1], label)
     if subcase == SUBCASE_TWO:
-        if len(zs) > 1:
-            raise ConstructionFailed("subcase2: x_4^1 has two row-2 neighbors", log)
         claim_col(d - 2, zs[0], "subcase2: z lies in an ordered bunch")
-        xdd2 = to_b[zs[0]]
-        if xdd2 in used_b():
-            raise ConstructionFailed("subcase2: x_d^{d-2} already placed", log)
-        set_row(d - 2, to_a[xdd2], label)
+        set_row(d - 2, to_a[to_b[zs[0]]], label)
     else:
         xdd2 = min(B - used_b())
         set_row(d - 2, to_a[xdd2], label)
@@ -438,9 +447,6 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
         w2 = _unique_nb(g, to_b[row_x1[j - 1]], row2, f"row2-nb-of-xd{j}", log)
         claim_col(j, w2, f"step5: column for x_d^{j} row-2 neighbor already ordered")
         i1.append(w2)  # x_{j+1}^2
-
-    if any(c is None for c in col_attach) or any(v is None for v in row_x1):
-        raise ConstructionFailed("ordering incomplete", log)
 
     cells = [[r, *(nb[r][c] for c in col_attach[1:-1]), to_b[r]] for r in row_x1]
     bm = BunchMatrix(
@@ -511,7 +517,12 @@ def check_bunch_matrix(g: Graph, x: int, bm: BunchMatrix) -> tuple[bool, str | N
 
 
 def color_two_bunch(g: Graph, x: int) -> Certificate:
-    """b-coloring with d+1 colors around a center with two closed bunches."""
+    """b-coloring with d+1 colors around a center with two closed bunches.
+
+    In step 6 each cell outside column d has one X_d neighbor, and the
+    cells of one column have distinct ones: B is closed, so it meets every
+    other bunch in a bijection (order_two_bunch).
+    """
     bm = order_two_bunch(g, x)  # checks the graph's preconditions first
     d = bm.d
     k = d + 1
@@ -528,24 +539,12 @@ def color_two_bunch(g: Graph, x: int) -> Certificate:
     # step 6: color by the row of the unique X_d neighbor
     xd_set = {bm.cells[r][d - 1]: r + 1 for r in range(d - 1)}
     for cidx in range(d - 1):
-        assigned: set[int] = set()
         rows = range(d - 1) if cidx < d - 2 else range(3, d - 1)
         for r in rows:
             wv = bm.cells[r][cidx]
-            if c.color(wv) is not None:
-                continue
-            nbrs = [u for u in g.adj[wv] if u in xd_set]
-            if len(nbrs) != 1:
-                raise ConstructionFailed(
-                    f"two-bunch step 6: vertex {wv} has {len(nbrs)} neighbors in X_d"
-                )
-            col = xd_set[nbrs[0]] + 1
-            if col in assigned:
-                raise ConstructionFailed(
-                    f"two-bunch step 6: duplicate color {col} within column {cidx + 1}"
-                )
-            assigned.add(col)
-            c.assign(wv, col, g)
+            if c.color(wv) is None:
+                row = next(xd_set[u] for u in g.adj[wv] if u in xd_set)
+                c.assign(wv, row + 1, g)
     # step 7: the six top-right cells, first fit
     for cidx in (d - 2, d - 1):
         for r in range(3):

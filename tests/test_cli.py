@@ -361,6 +361,20 @@ def test_unwritable_dump_still_names_the_step(capsys, monkeypatch, tmp_path, hs_
     assert err.startswith("construction failed at planted-step; dump not written: ")
 
 
+def test_rejected_certificate_exits_5_with_a_dump(capsys, monkeypatch, tmp_path, hs_file):
+    from bchrome import construct
+    from bchrome.coloring import VerifyResult
+
+    monkeypatch.setattr(construct, "verify_certificate", lambda cert, g: VerifyResult(False, "planted"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["color", hs_file])
+    step = "self-verify: constructed certificate rejected: planted"
+    assert (code, out) == (5, "")
+    assert err.startswith(f"construction failed at {step}; dump written to ")
+    (dump,) = tmp_path.glob("counterexample-candidate-*.json")
+    assert json.loads(dump.read_text())["step"] == step
+
+
 @pytest.mark.parametrize("n, d, header", [(36, 3, "c"), (49, 4, "p")])
 @pytest.mark.parametrize("cmd", ["info", "hypcheck"])
 def test_graph6_with_a_dimacs_looking_header(capsys, monkeypatch, tmp_path, n, d, header, cmd):

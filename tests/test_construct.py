@@ -1,14 +1,18 @@
 """The three coloring strategies, the matrix orderer and its checker."""
 
+import ast
 import copy
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from bchrome import construct
 from bchrome.coloring import (
+    PartialColoring,
     available_colors,
     b_vertices,
     is_proper,
@@ -54,7 +58,7 @@ def test_guards_reject_irregular():
             fn(g, 0)
 
 
-def test_lemma_extension_hs(hs):
+def test_lemma_extension_hs(hs, random_d7_n400):
     c = lemma_extension(hs, bunches(hs, 0))
     assert is_proper(c, hs)
     bv = b_vertices(c, hs)
@@ -66,6 +70,16 @@ def test_lemma_extension_hs(hs):
     assert c.color(0) == 8
     for i, xi in enumerate(order, start=1):
         assert c.color(xi) == i
+    # the center and x_1..x_4 are b-vertices at every center: of HS in the
+    # default order, and of the n = 400 graph in color_bounded_c6's order
+    for g, by_s2_degree in ((hs, False), (random_d7_n400, True)):
+        for x in range(g.n):
+            bs = bunches(g, x)
+            if by_s2_degree:
+                bs = bunches(g, x, order_by_degree_sequences(bs, bs.s2_degrees(g)))
+            c = lemma_extension(g, bs)
+            for v in (x, *bs.neighbor_order[:4]):
+                assert not available_colors(c, g, v), (x, v)
 
 
 def test_swap_repair_clears_clashes_and_decreases():
@@ -112,6 +126,24 @@ def test_swap_repair_is_pinned():
     assert sum(1 for clashes, _ in calls if clashes) == 433
     assert sum(n for _, n in calls) == 549
     assert _digest(colorings) == PINNED_REPAIR_DIGEST
+
+
+def test_swap_repair_stops_when_a_swap_does_not_help(monkeypatch):
+    # the count check is the loop's termination: with swaps that change
+    # nothing, the first swap of a run that needs one must raise, not spin
+    tried = []
+
+    def stuck(self, u, v):
+        tried.append((u, v))
+        assert len(tried) < 100, "swap_repair does not stop"
+
+    monkeypatch.setattr(PartialColoring, "swap", stuck)
+    assert PINNED_REPAIR_SWAPS[7][1] == 1
+    with pytest.raises(
+        ConstructionFailed, match="swap did not decrease the monochromatic count"
+    ):
+        swap_repair_run(7, 1)
+    assert len(tried) == 1
 
 
 def test_swap_repair_noop_when_clean(hs):
@@ -325,3 +357,62 @@ def test_auto_color_deterministic(hs):
     a = auto_color(hs)
     b = auto_color(hs)
     assert a == b
+
+
+FAILURE_CLASSES = {"ConstructionFailed", "HallFailure", "CompletionFailedError"}
+# step-string argument of order_two_bunch's helpers; their own raise is
+# listed through their calls
+FAILURE_HELPERS = {"_unique_nb": 3, "claim_col": 2}
+
+
+def _step_template(node) -> str:
+    """A step string as written, each f-string field as {source}."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    return "".join(
+        v.value if isinstance(v, ast.Constant) else "{" + ast.unparse(v.value) + "}"
+        for v in node.values
+    )
+
+
+def _called(node) -> str | None:
+    """The name a call goes to: f(...) and m.f(...) both give f."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def _failure_sites(tree) -> list[str]:
+    """The step string of each failure site: a raise of the ConstructionFailed
+    family (its class name when it passes no string) and each call of
+    FAILURE_HELPERS."""
+    helper_raises = {
+        id(r)
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name in FAILURE_HELPERS
+        for r in ast.walk(f)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and id(node) not in helper_raises:
+            cls = _called(node.exc)
+            if cls in FAILURE_CLASSES:
+                steps = [a for a in node.exc.args if isinstance(a, (ast.Constant, ast.JoinedStr))]
+                sites.append(_step_template(steps[0]) if steps else cls)
+        elif _called(node) in FAILURE_HELPERS:
+            sites.append(_step_template(node.args[FAILURE_HELPERS[_called(node)]]))
+    return sites
+
+
+def test_failure_ledger_lists_every_site():
+    src = Path(construct.__file__).parent
+    sites = [s for p in sorted(src.glob("*.py")) for s in _failure_sites(ast.parse(p.read_text()))]
+    assert len(sites) == len(set(sites)), "two sites share a step string"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ledger = readme.split("## Failure ledger")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`]+)` \|.*\|(.*)\|$", ledger, re.M)
+    assert sorted(step for step, _ in rows) == sorted(sites)
+    tests = Path(__file__).parent
+    for step, status in rows:
+        for file, name in re.findall(r"`tests/(\w+\.py)::(\w+)`", status):
+            assert f"def {name}(" in (tests / file).read_text(), (step, name)
