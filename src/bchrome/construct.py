@@ -4,8 +4,11 @@ Each strategy takes a d-regular girth-5 graph with d >= 7 and a center
 vertex whose local structure satisfies the strategy's hypothesis, and emits
 a replayable certificate for a b-coloring with d+1 colors.  Every "choose
 any" point resolves to lowest-identifier-first so runs are reproducible.
-A step where a required vertex does not exist raises ConstructionFailed:
-such inputs are counterexample candidates and are never patched silently.
+A proof step that fails raises ConstructionFailed: such inputs are
+counterexample candidates and are never patched silently.  A step that
+girth 5 cannot fail carries no check; the docstring of its function gives
+the proof.  _checked verifies every certificate and check_bunch_matrix
+every matrix, so a wrong proof cannot produce a wrong certificate.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ def _graph_precondition(g: Graph) -> tuple[int | None, str | None]:
         return d, "graph is not regular"
     if d < 7:
         return d, f"d = {d} < 7"
-    if short_girth(g) != 5:
-        # short_girth reads inf above 5; the message names the girth.
-        return d, f"girth = {girth(g)} != 5"
+    gth = short_girth(g)
+    if gth != 5:
+        # short_girth is exact up to 5 and reads inf above; the message
+        # names the girth, so only then does the quadratic girth() run.
+        return d, f"girth = {girth(g) if gth > 5 else gth} != 5"
     return d, None
 
 
@@ -99,15 +104,29 @@ def swap_repair(
 ) -> PartialColoring:
     """Remove monochromatic edges between X_t and earlier bunches by swaps.
 
-    X_t must already carry a bijection onto [d] \\ {t} and every S2 vertex
-    must have at most one neighbor inside S2 (the no-C6 structural
-    condition).  The swap partner is found by the case ladder
+    The caller must meet these preconditions (color_no_c6, the only library
+    caller, does): X_1..X_{t-1} each carry a bijection onto [d] minus their
+    index, X_t carries one onto [d] \\ {t}, and every S2 vertex has at most
+    one neighbor inside S2 (the no-C6 structural condition).  The swap
+    partner is found by the case ladder
       (a) a position with no backward neighbor,
       (b) a position with a neighbor in the offending bunch X_i,
       (c) two positions sharing an earlier bunch; take one whose
           neighbor's color differs from the clash color,
       (d) t = d: the position whose neighbor lies in X_k for clash color k.
     The monochromatic count strictly decreases every iteration.
+
+    One case always applies.  Let position s of X_t clash with its neighbor
+    in X_i on color k, and let (a) and (b) fail: each of the d-2 positions
+    p != s has exactly one earlier neighbor, none in X_i.  These neighbors
+    are distinct (one S2 neighbor each), so two of them in one bunch have
+    distinct colors.  For t < d the positions fall into t-2 < d-2 bunches,
+    so two share a bunch X_l, l != i, and at most one of their neighbors
+    has color k: (c) finds the other.  For t = d, if (c) fails each of the
+    d-2 bunches other than X_i holds exactly one position.  X_d's colors are
+    1..d-1, so k <= d-1, and k != i as X_i does not use color i; so X_k holds
+    one position and (d) finds it.  Swaps keep every bijection, so this
+    holds at every iteration.
     """
     bunch = bs.bunches[t - 1]
     earlier = {v for b in bs.bunches[: t - 1] for v in b}
@@ -156,10 +175,6 @@ def swap_repair(
             )
         if partner is None and t == bs.d:  # (d)
             partner = first(lambda p: k - 1 in back_bunch[p])
-        if partner is None:
-            raise ConstructionFailed(
-                f"swap-repair: no swap case applies at bunch {t}, clash color {k}"
-            )
         c.swap(bunch[partner], bunch[s])
         before, current = len(current), clashes()
         if len(current) >= before:
@@ -304,15 +319,6 @@ class BunchMatrix:
         return [list(row) for row in self.cells]
 
 
-def _unique_nb(g: Graph, v: int, row: set[int], step: str, log: list[str]) -> int:
-    """The neighbor of v in row (some x_1^j and its S2 neighbors), for v not
-    x_1^j.  v has at most one (order_two_bunch); whether it has one is open."""
-    found = g.adj[v] & row
-    if not found:
-        raise ConstructionFailed(f"{step}: no neighbor in the row", log)
-    return min(found)
-
-
 def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     """Order S2(x) into the row/column matrix of the two-bunch theorem.
 
@@ -329,29 +335,52 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     Row j is x_1^j with its S2 neighbors x_i^j (x_i^j in X_i), so the rows
     partition S2, and to_a[x_d^j] = x_1^j.  A vertex other than x_1^j has at
     most one neighbor in row j (else a triangle or a 4-cycle through x_1^j).
-    The steps that can fail: choose-X3, the four row look-ups
-    (xd3-row2-neighbor, xd3-row1-neighbor, xd-d-2-row2-neighbor,
-    row2-nb-of-xd{j}) when the row holds no neighbor, the three checks that
-    a column's bunch is still unordered, and requirements-check.  Girth 5
-    rules out the rest:
 
-    - x_d^3's row-2 neighbor w lies in X_3 when its bunch is ordered (A, B,
-      X_2 or X_3): x_d^3's A-neighbor is x_1^3, not x_1^2; B is
-      independent; x_2^2's B-neighbor is x_d^1.  So subcase 2 has w = x_3^2.
-    - In subcase 2, x_d^3's row-1 neighbor x_4^1 has an unordered bunch: not
-      A or B (as for w), not X_2 (step 3 chose X_3 with x_d^3 not~ x_2^1) and
-      not X_3 (x_d^3-x_3^1-x_3-x_3^2 would close a 4-cycle).  Its row-2
-      neighbor z is unique, as x_4^1 is not x_1^2.
-    - No two rows share an anchor, so no X_d vertex is placed twice.  Row
-      2's anchor is not x_1^1 (else x_1^1-x_2^2-x_d^1 is a triangle); step 3
-      skips used anchors; the other rows take X_d vertices not yet placed.
-      Row d-1 takes the X_d neighbor of y = x_3^2 (subcase 1) or x_4^2
-      (subcase 2): not x_d^2 (a triangle with x_1^2), not x_d^1 (whose
-      row-2 neighbor is x_2^2) and not x_d^3 (whose row-2 neighbor w is not
-      y: subcase 1 puts w outside X_3, subcase 2 in X_3).  Row d-2 of
-      subcase 2 takes the X_d neighbor of z, whose bunch is unordered, for
-      the same reasons and as x_d^{d-1}'s row-2 neighbor is x_4^2.  So rows
-      4..d-3 take the d-6 X_d vertices left, and every index is written.
+    B-permutation lemma: for r in A, every X_d vertex other than to_b[r] has
+    exactly one neighbor in row r, a middle cell (columns 2..d-1), and the
+    map from it to that cell's column is a bijection onto the d-2 middle
+    columns.  Proof: each middle cell w_i of row r has one B-neighbor, as B
+    meets X_i in a bijection.  to_b[w_i] = to_b[w_j] would close the 4-cycle
+    r-w_i-beta-w_j and to_b[w_i] = to_b[r] a triangle, so these d-2 vertices
+    and to_b[r] are distinct: all of B.  An X_d vertex other than to_b[r]
+    is adjacent neither to r nor to to_b[r] (B is independent).
+    ``row1_nb`` and ``row2_nb`` map each X_d vertex to its neighbor in row
+    1 and row 2; phi below is the row-2 map to columns.
+
+    Only requirements-check can fail.  Girth 5 rules out the rest:
+
+    - Step 3 always picks X_3.  Its d-3 candidate bunches give distinct x1v
+      (two S2 neighbors of x_d^2 with one A-neighbor close a 4-cycle), none
+      of them x_1^2 (a triangle with x_d^2).  At most one x1v is x_1^1, and
+      at most one has to_b[x1v] ~ x_2^1, as x_2^1 has one B-neighbor and
+      to_b is a bijection from A onto B.  d-3 >= 4 > 2.
+    - Each row look-up is of an X_d vertex other than the row's own: x_d^3
+      is neither x_d^1 nor x_d^2 (step 3 skips used anchors), and the other
+      look-ups are of the X_d vertices of rows d-2 and 4..d-3, which are not
+      x_d^2 (last bullet).
+    - x_d^3's row-2 neighbor w lies in X_3 when its bunch is ordered: phi is
+      injective and phi(x_d^1) = X_2.  So subcase 2 has w = x_3^2.
+    - In subcase 2, x_d^3's row-1 neighbor x_4^1 has an unordered bunch:
+      not X_2 (step 3 chose X_3 with x_d^3 not~ x_2^1) and not X_3
+      (x_d^3-x_3^1-x_3-x_3^2 would close a 4-cycle).  Its neighbors in row
+      2 are middle cells (x_4^1 ~ x_1^2 closes a 4-cycle through x_1; the
+      one B-neighbor of x_4^1 is x_d^3), so its row-2 neighbor z, if any,
+      is unique.  z's bunch is unordered: X_4 closes a triangle through
+      x_4, X_3 (z = w) one through x_d^3, and X_2 (z = x_2^2) the 4-cycle
+      z-x_d^1-x_1^1-x_4^1.
+    - Every row takes an X_d vertex not yet placed, so no two rows share an
+      anchor, and every column claimed after step 4 is unordered.  Row 2's
+      anchor is not x_1^1 (else x_1^1-x_2^2-x_d^1 is a triangle), and step
+      3 skips used anchors.  After step 4 the ordered middle columns are
+      X_2 = phi(x_d^1) and X_3, X_4, which are phi(x_d^3) and
+      phi(x_d^{d-1}): x_d^{d-1} is the X_d neighbor of the row-2 cell of
+      whichever of X_3, X_4 does not hold w.  So x_d^{d-1} is new (phi is
+      injective, and it is not x_d^2 by the lemma).  Row d-2 takes to_b[z]
+      in subcase 2, new as phi(to_b[z]) is z's unordered column, and
+      otherwise an X_d vertex not yet placed, whose column under phi is
+      unordered as phi is injective.  Rows 4..d-3 take the d-6 X_d
+      vertices left, each with the column phi gives it, unordered for the
+      same reason; so every index is written once.
     """
     d = _require_regular_girth5(g)
     bs = bunches(g, x)
@@ -376,12 +405,6 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
         row_x1[j - 1] = x1v
         log.append(f"{step}: row {j} anchored at X_1 vertex {x1v}")
 
-    def claim_col(c: int, v: int, failure: str) -> None:
-        """Give paper column c+1 to the bunch of v, which must be unordered."""
-        if col_of[v] in col_attach:
-            raise ConstructionFailed(failure, log)
-        col_attach[c] = col_of[v]
-
     def used_b() -> set[int]:
         return {to_b[r] for r in row_x1 if r is not None}
 
@@ -394,10 +417,12 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
     x22 = nb[xd1][col_attach[1]]
     set_row(2, to_a[x22], "step2")
     i1.append(x22)
-    # rows 1 and 2 as sets: x_1^j and its neighbors in S2
-    row1, row2 = ({r, *nb[r].values()} for r in row_x1[:2])
+    # the neighbor in rows 1 and 2 of each X_d vertex but the row's own
+    # (the B-permutation lemma)
+    row1_nb, row2_nb = ({to_b[w]: w for w in nb[r].values() if w not in B} for r in row_x1[:2])
 
-    # Step 3: pick X_3 with x_d^2 ~ x_3^3 and x_d^3 not~ x_2^1.
+    # Step 3: pick X_3 with x_d^2 ~ x_3^3 and x_d^3 not~ x_2^1 (one always
+    # qualifies: docstring).
     xd2, x21 = to_b[row_x1[1]], nb[row_x1[0]][col_attach[1]]
     for cand in sorted(set(g.adj[x]).difference(col_attach)):
         v = nb[xd2][cand]
@@ -407,13 +432,11 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
             set_row(3, x1v, "step3")
             i1.append(v)
             break
-    else:
-        raise ConstructionFailed("choose-X3: no admissible bunch", log)
 
     # Step 4: choose X_4 and X_{d-1} by the subcase of where the row-2
     # neighbor of x_d^3 lives.
     xd3 = to_b[row_x1[2]]
-    w = _unique_nb(g, xd3, row2, "xd3-row2-neighbor", log)
+    w = row2_nb[xd3]
     if col_of[w] not in col_attach:
         subcase, label = SUBCASE_ONE, "subcase1"
         col_attach[3] = col_of[w]
@@ -422,31 +445,25 @@ def order_two_bunch(g: Graph, x: int) -> BunchMatrix:
         # Subcase 2: w is x_3^2, and X_4 is the bunch of x_d^3's row-1
         # neighbor, which is unordered (docstring).
         label = "subcase2"
-        w1 = _unique_nb(g, xd3, row1, "xd3-row1-neighbor", log)
+        w1 = row1_nb[xd3]
         col_attach[3] = col_of[w1]
         i1.append(w1)  # x_4^1
-        zs = sorted(g.adj[w1] & row2)
+        zs = sorted(g.adj[w1].intersection(row2_nb.values()))
         subcase = SUBCASE_TWO if zs else SUBCASE_TWO_NO_ROW2
     # x_d^{d-1} is the X_d neighbor of x_3^2 (subcase 1) or x_4^2 (subcase 2)
     xdd1 = to_b[nb[row_x1[1]][col_attach[2 if subcase == SUBCASE_ONE else 3]]]
     set_row(d - 1, to_a[xdd1], label)
-    if subcase == SUBCASE_TWO:
-        claim_col(d - 2, zs[0], "subcase2: z lies in an ordered bunch")
-        set_row(d - 2, to_a[to_b[zs[0]]], label)
-    else:
-        xdd2 = min(B - used_b())
-        set_row(d - 2, to_a[xdd2], label)
-        w2 = _unique_nb(g, xdd2, row2, "xd-d-2-row2-neighbor", log)
-        claim_col(d - 2, w2, f"{label}: X_{{d-1}} bunch already ordered")
+    # x_d^{d-2}; its row-2 neighbor's bunch becomes X_{d-1}
+    xdd2 = to_b[zs[0]] if subcase == SUBCASE_TWO else min(B - used_b())
+    set_row(d - 2, to_a[xdd2], label)
+    col_attach[d - 2] = col_of[row2_nb[xdd2]]
 
     # Step 5: remaining X_d vertices fill rows 4..d-3 ascending; the bunch
     # holding each one's row-2 neighbor becomes the next column.
     for j, xdj in enumerate(sorted(B - used_b()), start=4):  # paper row j
         set_row(j, to_a[xdj], "step5")
-    for j in range(4, d - 2):
-        w2 = _unique_nb(g, to_b[row_x1[j - 1]], row2, f"row2-nb-of-xd{j}", log)
-        claim_col(j, w2, f"step5: column for x_d^{j} row-2 neighbor already ordered")
-        i1.append(w2)  # x_{j+1}^2
+        col_attach[j] = col_of[row2_nb[xdj]]
+        i1.append(row2_nb[xdj])  # x_{j+1}^2
 
     cells = [[r, *(nb[r][c] for c in col_attach[1:-1]), to_b[r]] for r in row_x1]
     bm = BunchMatrix(

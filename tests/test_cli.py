@@ -534,6 +534,34 @@ def test_color_refuses_girth_6(capsys, tmp_path, pg27, strategy):
     assert err == "not applicable: girth = 6 != 5\n"
 
 
+def test_color_names_girth_3_and_4_without_girth(capsys, tmp_path, monkeypatch):
+    # short_girth is exact up to 5, so the refusal reads girth 3 or 4 off it;
+    # the quadratic girth() took about a minute on a shuffled 8-regular
+    # circulant with 10^5 vertices (see the CI's girth refusal guard).
+    from bchrome import construct, graph as graph_mod
+    from bchrome.graph import build_graph
+
+    def no_girth(g):
+        raise AssertionError("girth() ran for a girth below 5")
+
+    monkeypatch.setattr(construct, "girth", no_girth)
+    monkeypatch.setattr(graph_mod, "girth", no_girth)
+    # the circulant C_40(1, 2, 5, 11) is 8-regular with girth 3
+    circulant = build_graph(
+        40, sorted({tuple(sorted((i, (i + s) % 40))) for i in range(40) for s in (1, 2, 5, 11)})
+    )
+    k77 = build_graph(14, [(i, 7 + j) for i in range(7) for j in range(7)])
+    for g, gth in ((circulant, 3), (k77, 4)):
+        f = tmp_path / f"girth{gth}.g6"
+        f.write_text(write_graph6(g) + "\n")
+        code, out, err = run(capsys, ["color", str(f), "--strategy", "two-bunch"])
+        assert code == 2 and out == ""
+        assert err == f"not applicable: girth = {gth} != 5\n"
+        code, _, err = run(capsys, ["color", str(f)])
+        assert code == 2
+        assert err == "not applicable: no coloring strategy applies to any vertex\n"
+
+
 def _gen(capsys, *args):
     code, out, _ = run(capsys, ["gen", "--family", "random-regular"] + list(args))
     assert code == 0

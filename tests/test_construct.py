@@ -267,6 +267,42 @@ def test_order_two_bunch_failure_log_is_pinned(hs, monkeypatch):
     assert _digest(dumps) == ORDER_TWO_BUNCH_FAILURE_DIGEST
 
 
+def test_b_permutation_lemma(hs):
+    """order_two_bunch's B-permutation lemma, read off g.adj alone at every
+    center, ordered pair (A, B) of closed bunches and anchor r in A of HS and
+    one relabelling: r's B-neighbor and the B-neighbors of r's middle cells
+    are all of B, and every other B vertex has exactly one neighbor in row r,
+    a middle cell, one per middle column."""
+    checked = 0
+    for g in _hs_and_relabelled(hs):
+        for x in range(g.n):
+            bunch = {xi: g.adj[xi] - {x} for xi in g.adj[x]}
+            s2 = set().union(*bunch.values())
+            n2 = s2 | g.adj[x] | {x}
+            closed = [xi for xi in bunch if all(g.adj[v] <= n2 for v in bunch[xi])]
+            for a in closed:
+                for b in closed:
+                    if a == b:
+                        continue
+                    B = bunch[b]
+                    middle_cols = g.adj[x] - {a, b}
+                    for r in bunch[a]:
+                        (rb,) = g.adj[r] & B
+                        middle = (g.adj[r] & s2) - B
+                        b_nbs = [g.adj[w] & B for w in middle]
+                        assert all(len(nbs) == 1 for nbs in b_nbs)
+                        assert sorted([rb, *(v for nbs in b_nbs for v in nbs)]) == sorted(B)
+                        cols = []
+                        for beta in B - {rb}:
+                            (w,) = g.adj[beta] & (middle | {r, rb})
+                            assert w in middle
+                            (col,) = g.adj[w] & middle_cols
+                            cols.append(col)
+                        assert sorted(cols) == sorted(middle_cols)
+                        checked += 1
+    assert checked == 2 * 50 * 42 * 6
+
+
 def test_two_bunch_needs_two_closed_bunches(no_c6_instance):
     # the planted graph passes the graph checks; its vertex 0 has no closed
     # bunch, because every S2(0) vertex has neighbors outside N2[0]
@@ -360,9 +396,6 @@ def test_auto_color_deterministic(hs):
 
 
 FAILURE_CLASSES = {"ConstructionFailed", "HallFailure", "CompletionFailedError"}
-# step-string argument of order_two_bunch's helpers; their own raise is
-# listed through their calls
-FAILURE_HELPERS = {"_unique_nb": 3, "claim_col": 2}
 
 
 def _step_template(node) -> str:
@@ -384,23 +417,12 @@ def _called(node) -> str | None:
 
 def _failure_sites(tree) -> list[str]:
     """The step string of each failure site: a raise of the ConstructionFailed
-    family (its class name when it passes no string) and each call of
-    FAILURE_HELPERS."""
-    helper_raises = {
-        id(r)
-        for f in ast.walk(tree)
-        if isinstance(f, ast.FunctionDef) and f.name in FAILURE_HELPERS
-        for r in ast.walk(f)
-    }
+    family (its class name when it passes no string)."""
     sites = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and id(node) not in helper_raises:
-            cls = _called(node.exc)
-            if cls in FAILURE_CLASSES:
-                steps = [a for a in node.exc.args if isinstance(a, (ast.Constant, ast.JoinedStr))]
-                sites.append(_step_template(steps[0]) if steps else cls)
-        elif _called(node) in FAILURE_HELPERS:
-            sites.append(_step_template(node.args[FAILURE_HELPERS[_called(node)]]))
+        if isinstance(node, ast.Raise) and _called(node.exc) in FAILURE_CLASSES:
+            steps = [a for a in node.exc.args if isinstance(a, (ast.Constant, ast.JoinedStr))]
+            sites.append(_step_template(steps[0]) if steps else _called(node.exc))
     return sites
 
 
@@ -414,5 +436,7 @@ def test_failure_ledger_lists_every_site():
     assert sorted(step for step, _ in rows) == sorted(sites)
     tests = Path(__file__).parent
     for step, status in rows:
-        for file, name in re.findall(r"`tests/(\w+\.py)::(\w+)`", status):
+        witnesses = re.findall(r"`tests/(\w+\.py)::(\w+)`", status)
+        assert witnesses, f"{step} has no witness"
+        for file, name in witnesses:
             assert f"def {name}(" in (tests / file).read_text(), (step, name)
