@@ -193,9 +193,10 @@ def _dump_counterexample(g: Graph | None, argv: list[str], e: ConstructionFailed
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state
     between calls, and a build costs more than most commands on small
-    graphs."""
+    graphs.  ``subcommands`` maps each command name to its own parser."""
     p = argparse.ArgumentParser(prog="bchrome")
     sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub.choices
 
     g = sub.add_parser("gen", help="emit a graph from a named family")
     g.add_argument("--family", choices=_FAMILIES, required=True)
@@ -252,11 +253,24 @@ def _detach_stdout() -> None:
     os.close(devnull)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass: a known
+    command's arguments go straight to its parser, which the top-level parse
+    would call anyway, with the same output, errors and exit codes."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no command, an unknown one, or a top-level option
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:  # usage error (2) or --help (0), already printed
         return e.code
     g = None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BadInput, GenerationFailed
@@ -57,18 +57,20 @@ def hoffman_singleton() -> Graph:
     return build_graph(50, edges)
 
 
-# The unique 4-regular girth-5 graph on 19 vertices (the (4,5)-cage).
-# robertson() runs random_regular_girth with a fixed seed on first use and
-# keeps its edges; uniqueness of the cage makes any such output this graph
-# up to isomorphism.
-_ROBERTSON_EDGES = None  # filled in below
+# The unique 4-regular girth-5 graph on 19 vertices (the (4,5)-cage), as
+# random_regular_girth(GenSpec(n=19, d=4, girth_min=5, seed=7,
+# max_attempts=500)).edges() produced it; kept as data, in that order, so
+# that a change to the generator's draws cannot relabel it.
+_ROBERTSON_EDGES = (
+    (0, 16), (0, 1), (0, 18), (0, 5), (1, 9), (1, 2), (1, 14), (2, 3),
+    (2, 4), (2, 13), (3, 10), (3, 12), (3, 5), (4, 8), (4, 16), (4, 6),
+    (5, 6), (5, 15), (6, 9), (6, 7), (7, 12), (7, 13), (7, 14), (8, 17),
+    (8, 18), (8, 14), (9, 10), (9, 17), (10, 11), (10, 18), (11, 16),
+    (11, 14), (11, 15), (12, 16), (12, 17), (13, 18), (13, 15), (15, 17),
+)
 
 
 def robertson() -> Graph:
-    global _ROBERTSON_EDGES
-    if _ROBERTSON_EDGES is None:
-        g = random_regular_girth(GenSpec(n=19, d=4, girth_min=5, seed=7, max_attempts=500))
-        _ROBERTSON_EDGES = g.edges()
     return build_graph(19, _ROBERTSON_EDGES)
 
 
@@ -143,11 +145,13 @@ def _short_cycle_score(g: Graph, girth_min: int) -> int:
         tri = sum(len(g.adj[u] & g.adj[v]) for u, v in g.edges()) // 3
         score += 3 * tri
     if girth_min > 4:
+        # co[v] counts the 2-paths u-w-v, that is the common neighbours of u
+        # and v; each pair of them closes a 4-cycle with u and v opposite,
+        # and each 4-cycle has two such opposite pairs.
         quad = 0
         for u in range(g.n):
-            for v in range(u + 1, g.n):
-                co = len(g.adj[u] & g.adj[v])
-                quad += co * (co - 1) // 2
+            co = Counter(v for w in g.adj[u] for v in g.adj[w] if v > u)
+            quad += sum(c * (c - 1) // 2 for c in co.values())
         score += quad // 2
     return score
 

@@ -134,6 +134,94 @@ def test_main_keeps_no_state_between_calls(capsys, hs_file, pet_file):
     assert run(capsys, ["bchrom", pet_file]) == (0, "3\n", "")
 
 
+TOP_USAGE = "usage: bchrome [-h] {gen,info,hypcheck,color,verify,bchrom} ...\n"
+COLOR_USAGE = (
+    "usage: bchrome color [-h] [--strategy {auto,no-c6,bounded-c6,two-bunch}]\n"
+    "                     [--vertex VERTEX] [--out OUT]\n"
+    "                     graph\n"
+)
+BCHROM_USAGE = (
+    "usage: bchrome bchrom [-h] [--time-budget TIME_BUDGET]\n"
+    "                      [--node-budget NODE_BUDGET]\n"
+    "                      graph\n"
+)
+TOP_HELP = TOP_USAGE + """
+positional arguments:
+  {gen,info,hypcheck,color,verify,bchrom}
+    gen                 emit a graph from a named family
+    info                structural census (JSON)
+    hypcheck            strategy applicability report (JSON)
+    color               construct a b-coloring certificate
+    verify              check a certificate against a graph
+    bchrom              oracle b-chromatic number
+
+options:
+  -h, --help            show this help message and exit
+"""
+COLOR_HELP = COLOR_USAGE + """
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --strategy {auto,no-c6,bounded-c6,two-bunch}
+  --vertex VERTEX
+  --out OUT
+"""
+COMMANDS = "'gen', 'info', 'hypcheck', 'color', 'verify', 'bchrom'"
+
+
+# Recorded from argparse's own two-pass parse (the top-level parser calling
+# the command's parser), so the one-pass dispatch must match it byte for byte.
+@pytest.mark.parametrize("argv, expected", [
+    (["color"], (2, "", COLOR_USAGE
+                 + "bchrome color: error: the following arguments are required: graph\n")),
+    (["color", "g.g6", "--strategy", "nope"], (2, "", COLOR_USAGE
+        + "bchrome color: error: argument --strategy: invalid choice: 'nope' "
+        "(choose from 'auto', 'no-c6', 'bounded-c6', 'two-bunch')\n")),
+    (["color", "g.g6", "--foo"], (2, "", TOP_USAGE
+                                  + "bchrome: error: unrecognized arguments: --foo\n")),
+    (["color", "g.g6", "extra"], (2, "", TOP_USAGE
+                                  + "bchrome: error: unrecognized arguments: extra\n")),
+    (["color", "g.g6", "--vertex", "0", "x", "--bar"], (2, "", TOP_USAGE
+        + "bchrome: error: unrecognized arguments: x --bar\n")),
+    (["color", "g.g6", "--vertex"], (2, "", COLOR_USAGE
+        + "bchrome color: error: argument --vertex: expected one argument\n")),
+    (["bchrom", "g.g6", "--node-budget", "z"], (2, "", BCHROM_USAGE
+        + "bchrome bchrom: error: argument --node-budget: invalid int value: 'z'\n")),
+    (["gen", "--family", "petersen", "zz"], (2, "", TOP_USAGE
+                                             + "bchrome: error: unrecognized arguments: zz\n")),
+    (["-h"], (0, TOP_HELP, "")),
+    (["color", "-h"], (0, COLOR_HELP, "")),
+    (["nope"], (2, "", TOP_USAGE
+                + f"bchrome: error: argument command: invalid choice: 'nope' (choose from {COMMANDS})\n")),
+    (["--", "color"], (2, "", TOP_USAGE
+                       + f"bchrome: error: argument command: invalid choice: '--' (choose from {COMMANDS})\n")),
+    ([], (2, "", TOP_USAGE + "bchrome: error: the following arguments are required: command\n")),
+])
+def test_usage_output_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert run(capsys, argv) == expected
+
+
+def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch, hs_file):
+    """A known command's argv goes to its own parser alone; the top-level
+    parser only reports the arguments that parser left over."""
+    from bchrome.cli import build_parser
+
+    top = build_parser()
+
+    def no_top_level_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command's argv")
+
+    monkeypatch.setattr(top, "parse_args", no_top_level_parse)
+    monkeypatch.setattr(top, "parse_known_args", no_top_level_parse)
+    code, out, _ = run(capsys, ["color", hs_file, "--vertex", "0"])
+    assert code == 0 and out.startswith("strategy: two-bunch  center: 0  k: 8")
+    code, out, err = run(capsys, ["color", hs_file, "extra"])
+    assert (code, out) == (2, "") and err.endswith("unrecognized arguments: extra\n")
+
+
 def test_stdin_dimacs_autodetect(capsys, monkeypatch, pet):
     import io
 
@@ -557,9 +645,7 @@ def test_color_names_girth_3_and_4_without_girth(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, ["color", str(f), "--strategy", "two-bunch"])
         assert code == 2 and out == ""
         assert err == f"not applicable: girth = {gth} != 5\n"
-        code, _, err = run(capsys, ["color", str(f)])
-        assert code == 2
-        assert err == "not applicable: no coloring strategy applies to any vertex\n"
+        assert run(capsys, ["color", str(f)]) == (2, "", f"not applicable: girth = {gth} != 5\n")
 
 
 def _gen(capsys, *args):

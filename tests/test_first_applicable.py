@@ -67,8 +67,8 @@ def _global_reason(rep):
     return None
 
 
-def _census_reason(rep, vr):
-    return _global_reason(rep) or (
+def _census_reason(vr):
+    return (
         f"c6_through = {vr.c6_through}, c6_in_n2 = {vr.c6_in_n2}, "
         f"closed_bunches = {vr.closed_bunch_count}"
     )
@@ -84,16 +84,18 @@ def _outcome(fn):
 
 def _expected(g, rep, strategy):
     """The outcome read off the full census: its first applicable pair, run
-    directly, or the error color raised from it."""
+    directly, or the error color raised from it.  A graph-level refusal
+    names its reason in every mode."""
     pairs = [p for p in rep.applicable_pairs() if strategy in (None, p[1])]
     if pairs:
         x, s = pairs[0]
         return _outcome(lambda: auto_color(g, strategy=s, vertex=x))
+    if _global_reason(rep) is not None:
+        return PreconditionViolated, _global_reason(rep), None
     if strategy is None:
-        reasons = {vr.vertex: _census_reason(rep, vr) for vr in rep.per_vertex}
+        reasons = {vr.vertex: _census_reason(vr) for vr in rep.per_vertex}
         return NoStrategyApplies, "no coloring strategy applies to any vertex", reasons
-    why = _global_reason(rep) or f"strategy {strategy} applies to no vertex"
-    return PreconditionViolated, why, None
+    return PreconditionViolated, f"strategy {strategy} applies to no vertex", None
 
 
 GRAPHS = ["hs", "hs-relabel-1", "hs-relabel-2", "planted", "petersen", "c5",
@@ -122,9 +124,11 @@ def test_vertex_strategies_match_full_census(scan_graphs, reports, name):
         vr = rep.per_vertex[v]
         if vr.strategies:
             expected = _outcome(lambda: auto_color(g, strategy=vr.strategies[0], vertex=v))
+        elif _global_reason(rep) is not None:
+            expected = (PreconditionViolated, _global_reason(rep), None)
         else:
             expected = (NoStrategyApplies, "no coloring strategy applies to any vertex",
-                        {v: _census_reason(rep, vr)})
+                        {v: _census_reason(vr)})
         assert _outcome(lambda: auto_color(g, vertex=v)) == expected, v
 
 

@@ -1,6 +1,7 @@
 """Named families and the seeded random regular generator."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -207,6 +208,27 @@ def _swap_is_valid(g, u, v, a, b):
         and a not in g.adj[u]
         and b not in g.adj[v]
     )
+
+
+@pytest.mark.parametrize("girth_min", [3, 4, 5, 6])
+@pytest.mark.parametrize("n, d, seed", [(12, 4, 0), (16, 5, 1), (10, 3, 2), (14, 9, 3)])
+def test_short_cycle_score_matches_enumeration(n, d, seed, girth_min):
+    # 3 per triangle and 1 per 4-cycle, each length counted only below
+    # girth_min; every 4-set of vertices holds up to three 4-cycles.
+    g = _seeded_pairing(n, d, seed)
+    adj = g.adj
+    tri = sum(
+        b in adj[a] and c in adj[a] and c in adj[b]
+        for a, b, c in itertools.combinations(range(n), 3)
+    )
+    quad = sum(
+        all(q in adj[p] for p, q in zip(cyc, cyc[1:] + cyc[:1]))
+        for a, b, c, e in itertools.combinations(range(n), 4)
+        for cyc in ((a, b, c, e), (a, b, e, c), (a, c, b, e))
+    )
+    assert tri > 0 and quad > 0
+    expected = 3 * tri * (girth_min > 3) + quad * (girth_min > 4)
+    assert _short_cycle_score(g, girth_min) == expected
 
 
 @pytest.mark.parametrize("girth_min", [4, 5, 6])
