@@ -156,35 +156,40 @@ class VerifyResult:
 def verify_certificate(cert: Certificate, g: Graph) -> VerifyResult:
     """Accept iff fingerprint, totality, properness, class count and every
     claimed b-vertex check out; Reject carries the first failing predicate."""
-    d = g.regular_degree()
-    if cert.n != g.n or cert.m != g.m or d is None or cert.d != d:
+    d, claim = g.regular_degree(), cert.girth
+    # No cycle is longer than n, so a girth claim above n fails at once.
+    if cert.n != g.n or cert.m != g.m or d is None or cert.d != d or claim > g.n:
         return VerifyResult(False, "FingerprintMismatch")
-    # A claim of 3..5 is checked by the local test, which is exact there.
-    actual = short_girth(g) if 3 <= cert.girth <= 5 else girth(g)
-    if cert.girth != actual:
+    # A claim of 3..5 is checked by the local test, which is exact there;
+    # any other claim by a search that stops at the claimed length.
+    actual = short_girth(g) if 3 <= claim <= 5 else girth(g, claim)
+    if claim != actual:
         return VerifyResult(False, "FingerprintMismatch")
     if not (0 <= cert.center < g.n):
         return VerifyResult(False, "BadCenter")
-    if sorted(cert.neighbor_order) != sorted(g.adj[cert.center]):
+    adj = g.adj
+    if sorted(cert.neighbor_order) != sorted(adj[cert.center]):
         return VerifyResult(False, "BadNeighborOrder")
-    if len(cert.colors) != g.n:
+    colors = cert.colors
+    if len(colors) != g.n or None in colors:
         return VerifyResult(False, "NotTotal")
-    if any(col is None for col in cert.colors):
-        return VerifyResult(False, "NotTotal")
-    if any(not (1 <= col <= cert.k) for col in cert.colors):
+    # colors is not empty: regular_degree() is None on the empty graph.
+    if min(colors) < 1 or max(colors) > cert.k:
         return VerifyResult(False, "ColorOutOfRange")
-    c = PartialColoring(g.n, cert.k, list(cert.colors))
-    if not is_proper(c, g):
+    if not is_proper(PartialColoring(g.n, cert.k, colors), g):
         return VerifyResult(False, "ImproperEdge")
     # Every color lies in [1, k], so the classes are exactly [k] iff there
     # are k of them; this also bounds k by n before anything is sized by k.
-    if len(set(cert.colors)) != cert.k:
+    if len(set(colors)) != cert.k:
         return VerifyResult(False, "WrongColorCount")
     if sorted(cert.b_vertices) != list(range(1, cert.k + 1)):
         return VerifyResult(False, "MissingClass")
     for cls, v in cert.b_vertices.items():
-        if not (0 <= v < g.n) or cert.colors[v] != cls:
+        if not (0 <= v < g.n) or colors[v] != cls:
             return VerifyResult(False, "BadBVertexClass")
-        if available_colors(c, g, v):
+        # The colors on N[v] lie in [1, k]; v is a b-vertex iff all k occur.
+        seen = set(map(colors.__getitem__, adj[v]))
+        seen.add(cls)
+        if len(seen) != cert.k:
             return VerifyResult(False, "NotABVertex")
     return VerifyResult(True)

@@ -503,8 +503,7 @@ def check_bunch_matrix(g: Graph, x: int, bm: BunchMatrix) -> tuple[bool, str | N
             return False, f"requirement 2 fails at row {r + 1}"
     marked = []
     for j in range(1, d - 2):  # paper j in [d-3]
-        hits = sorted(v for v in g.adj[bm.cells[j - 1][d - 1]]
-                      if v in {bm.cells[r][j] for r in range(d - 1)})
+        hits = sorted(g.adj[bm.cells[j - 1][d - 1]] & {row[j] for row in bm.cells})
         if len(hits) != 1:
             return False, f"requirement 3 fails: x_d^{j} column-{j + 1} neighbor"
         v = hits[0]
@@ -518,8 +517,7 @@ def check_bunch_matrix(g: Graph, x: int, bm: BunchMatrix) -> tuple[bool, str | N
         for v in marked[i + 1:]:
             if g.has_edge(u, v):
                 return False, "marked set is not independent"
-    hits = sorted(v for v in g.adj[bm.cells[d - 3][d - 1]]
-                  if v in {bm.cells[r][d - 2] for r in range(d - 1)})
+    hits = sorted(g.adj[bm.cells[d - 3][d - 1]] & {row[d - 2] for row in bm.cells})
     if hits != [bm.cells[1][d - 2]]:
         return False, "requirement 4 fails"
     return True, None

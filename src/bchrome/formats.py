@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from base64 import b64decode
+from binascii import a2b_base64
 from dataclasses import fields
 
 from .coloring import Certificate
@@ -62,7 +62,7 @@ def parse_graph6(text: str) -> Graph:
     # Each character carries the six bits of its value c - 63, which is the
     # base64 digit _G6_TO_B64[c]; 'A' (zero) pads the body to whole quads.
     quads = body.encode("ascii").translate(_G6_TO_B64) + b"A" * (-len(body) % 4)
-    bits = format(int.from_bytes(b64decode(quads), "big"), f"0{6 * len(quads)}b")
+    bits = format(int.from_bytes(a2b_base64(quads), "big"), f"0{6 * len(quads)}b")
     if "1" in bits[nbits:]:
         raise MalformedGraph6(len(s) - 1, "nonzero padding bits")
     # Bit k is the pair (i, j), i < j, of column j, which holds bits
@@ -183,10 +183,23 @@ def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+# One decoder for every certificate: json.loads would build a new decoder
+# and scanner per call.  Decoding does not change it.
+_DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicate_keys)
+
+
 def read_certificate(text: str) -> Certificate:
-    """Parse and validate a certificate document; unknown fields rejected."""
+    """Parse and validate a certificate document; unknown fields rejected.
+
+    JSON yields no int subclass but bool, so "type is int" is _is_int here.
+    Paths and messages are built only for a field that fails its check.
+    """
     try:
-        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+        if text.startswith("\ufeff"):
+            # json.loads's own check, which JSONDecoder.decode lacks.
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        doc = _DECODER.decode(text)
     except SchemaViolation:
         raise
     # ValueError covers JSONDecodeError and integers too long to convert;
@@ -194,23 +207,23 @@ def read_certificate(text: str) -> Certificate:
     except (ValueError, RecursionError) as e:
         raise SchemaViolation("$", f"not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "$", "document must be an object")
-    unknown = set(doc) - _CERT_FIELDS
-    _require(not unknown, "$", f"unknown fields {sorted(unknown)}")
-    missing = _CERT_FIELDS - set(doc)
-    _require(not missing, "$", f"missing fields {sorted(missing)}")
+    if doc.keys() != _CERT_FIELDS:
+        unknown = set(doc) - _CERT_FIELDS
+        _require(not unknown, "$", f"unknown fields {sorted(unknown)}")
+        raise SchemaViolation("$", f"missing fields {sorted(_CERT_FIELDS - set(doc))}")
     _require(_is_int(doc["version"]) and doc["version"] == CERT_VERSION,
              "$.version", "unsupported version")
     for key in ("n", "m", "d", "girth", "k", "center"):
-        _require(_is_int(doc[key]), f"$.{key}", "must be an integer")
+        if type(doc[key]) is not int:
+            raise SchemaViolation(f"$.{key}", "must be an integer")
     _require(isinstance(doc["strategy"], str), "$.strategy", "must be a string")
     n, k = doc["n"], doc["k"]
     _require(n >= 0, "$.n", "negative")
     _require(k >= 1, "$.k", "k must be >= 1")
     colors = doc["colors"]
     _require(isinstance(colors, list), "$.colors", "must be an array")
-    _require(len(colors) == n, "$.colors", f"length {len(colors)} != n = {n}")
-    # JSON yields no int subclass but bool, so "type is int" is _is_int; the
-    # paths and messages are built only for a bad colour.
+    if len(colors) != n:
+        raise SchemaViolation("$.colors", f"length {len(colors)} != n = {n}")
     for i, col in enumerate(colors):
         if type(col) is not int or not 1 <= col <= k:
             _require(_is_int(col), f"$.colors[{i}]", "must be an integer")
@@ -229,11 +242,14 @@ def read_certificate(text: str) -> Certificate:
     _require(isinstance(bv_raw, dict), "$.b_vertices", "must be an object")
     b_vertices = {}
     for key, v in bv_raw.items():
-        _require(_CLASS_KEY.fullmatch(key) is not None, f"$.b_vertices.{key}",
-                 "class keys are decimal strings without leading zeros")
-        _require(_is_int(v), f"$.b_vertices.{key}", "vertex must be an integer")
+        if _CLASS_KEY.fullmatch(key) is None:
+            raise SchemaViolation(f"$.b_vertices.{key}",
+                                  "class keys are decimal strings without leading zeros")
+        if type(v) is not int:
+            raise SchemaViolation(f"$.b_vertices.{key}", "vertex must be an integer")
         b_vertices[int(key)] = v
     prov = doc["provenance"]
     _require(prov is None or isinstance(prov, str), "$.provenance", "must be null or string")
     del doc["version"]
-    return Certificate(**{**doc, "b_vertices": b_vertices})
+    doc["b_vertices"] = b_vertices
+    return Certificate(**doc)

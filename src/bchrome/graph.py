@@ -108,13 +108,18 @@ def sphere(g: Graph, v: int, k: int) -> set[int]:
     return {u for u in range(g.n) if dist[u] == k}
 
 
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle, or inf for acyclic graphs.
+def girth(g: Graph, upto: int | None = None) -> float:
+    """Length of a shortest cycle, or inf for acyclic graphs; with ``upto``,
+    the girth when it is at most upto, else inf.
 
     BFS from every vertex; the first non-tree edge seen from each root gives
     a closed walk through the root, and the minimum over all roots is exact.
+    A BFS stops at the depth where it can close no walk shorter than best.
+    With upto, best starts at upto + 1: every walk found is at least the
+    girth long, and a girth of at most upto is still found from a vertex of
+    a shortest cycle, so no BFS goes deeper than about upto / 2.
     """
-    best = INF
+    best = INF if upto is None else upto + 1
     for root in range(g.n):
         dist: list[float] = [INF] * g.n
         parent = [-1] * g.n
@@ -133,7 +138,7 @@ def girth(g: Graph) -> float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
-    return best
+    return best if upto is None or best <= upto else INF
 
 
 # Above this many vertices short_girth runs the set test: the masks grow

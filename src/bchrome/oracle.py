@@ -394,7 +394,7 @@ def exact_b_chromatic(g: Graph, lim: SearchLimits | None = None) -> BChromaticRe
     """
     if g.n == 0:
         raise BadInput("empty graph has no coloring")
-    delta = max(g.degree(v) for v in range(g.n))
+    delta = max(map(len, g.adj))
     bounded = False
     nodes = 0
     for k in range(delta + 1, 0, -1):

@@ -248,8 +248,58 @@ def _witness_cert(g, k, gth):
 
 def test_verify_girth_claims_on_girth_6_graph(heawood):
     # The local test covers claims 3..5 and must still see girth 6 as
-    # "none of them"; a claim of 6 or more takes the full BFS.
+    # "none of them"; a claim of 6 or more takes the BFS bounded by the
+    # claim, and a claim above n = 14 is refused before any search.
     assert verify_certificate(_witness_cert(heawood, 4, 6), heawood).ok
-    for claim in (3, 4, 5, 7):
+    for claim in (-1, 0, 2, 3, 4, 5, 7, 8, 14, 15, 10**30):
         res = verify_certificate(_witness_cert(heawood, 4, claim), heawood)
         assert res.reason == "FingerprintMismatch", claim
+
+
+def _cycle_cert(g, claim):
+    """Certificate for the 3-coloring 1, 2, 3, 1, ... along the cycle g
+    (n divisible by 3, any labels), in which every vertex is a b-vertex."""
+    colors = [0] * g.n
+    prev, v = None, 0
+    for i in range(g.n):
+        colors[v] = i % 3 + 1
+        prev, v = v, next(w for w in g.adj[v] if w != prev)
+    return Certificate(
+        strategy="none", center=0, neighbor_order=sorted(g.adj[0]), colors=colors,
+        b_vertices={cls: colors.index(cls) for cls in (1, 2, 3)},
+        n=g.n, m=g.m, d=2, girth=claim, k=3,
+    )
+
+
+def test_verify_cycle_girth_claims():
+    c12 = cycle(12)
+    assert verify_certificate(_cycle_cert(c12, 12), c12).ok
+    for claim in (6, 7, 11, 13):
+        assert verify_certificate(_cycle_cert(c12, claim), c12).reason == "FingerprintMismatch"
+
+
+def test_verify_claim_above_n_runs_no_girth_search(heawood, monkeypatch):
+    import bchrome.coloring as coloring_mod
+
+    def spy(*args):
+        raise AssertionError("girth search ran")
+
+    monkeypatch.setattr(coloring_mod, "girth", spy)
+    monkeypatch.setattr(coloring_mod, "short_girth", spy)
+    for claim in (15, 10**30):
+        res = verify_certificate(_witness_cert(heawood, 4, claim), heawood)
+        assert res.reason == "FingerprintMismatch", claim
+
+
+def test_verify_girth_7_claim_on_shuffled_3000_cycle():
+    # The search stops at the claimed length: a few BFS levels per vertex,
+    # where girth() without the bound walks the whole cycle from each one.
+    import random
+
+    from bchrome.graph import relabel
+
+    n = 3000
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    g = relabel(cycle(n), perm)
+    assert verify_certificate(_cycle_cert(g, 7), g).reason == "FingerprintMismatch"

@@ -401,6 +401,45 @@ def test_certificate_color_rejects_name_the_first_bad_index(hs):
     assert str(exc.value) == "certificate schema violation at $.colors[3]: color 9 outside [1, 8]"
 
 
+@pytest.mark.parametrize(
+    "mutate, path, message",
+    [
+        (lambda d: d.update(extra=1, zeta=2), "$", "unknown fields ['extra', 'zeta']"),
+        (lambda d: [d.update(extra=1), d.pop("k")], "$", "unknown fields ['extra']"),
+        (lambda d: [d.pop("k"), d.pop("center")], "$", "missing fields ['center', 'k']"),
+        *[(lambda d, key=key: d.update({key: value}), f"$.{key}", "must be an integer")
+          for key in ("n", "m", "d", "girth", "k", "center")
+          for value in (True, 1.0, "1", None)],
+        (lambda d: d["colors"].pop(), "$.colors", "length 49 != n = 50"),
+        (lambda d: d.update(b_vertices={"01": 1}), "$.b_vertices.01",
+         "class keys are decimal strings without leading zeros"),
+        (lambda d: d.update(b_vertices={"1": 0, "x": 1}), "$.b_vertices.x",
+         "class keys are decimal strings without leading zeros"),
+        (lambda d: d.update(b_vertices={"1": 0, "2": True}), "$.b_vertices.2",
+         "vertex must be an integer"),
+    ],
+)
+def test_certificate_schema_rejects_path_and_message(hs, mutate, path, message):
+    import json
+
+    doc = json.loads(write_certificate(make_cert(hs)))
+    assert doc["n"] == 50
+    mutate(doc)
+    with pytest.raises(SchemaViolation) as exc:
+        read_certificate(json.dumps(doc))
+    assert exc.value.path == path
+    assert str(exc.value) == f"certificate schema violation at {path}: {message}"
+
+
+def test_certificate_rejects_byte_order_mark(hs):
+    with pytest.raises(SchemaViolation) as exc:
+        read_certificate("\ufeff" + write_certificate(make_cert(hs)))
+    assert str(exc.value) == (
+        "certificate schema violation at $: not valid JSON: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
+
+
 def test_certificate_rejects_non_json():
     with pytest.raises(SchemaViolation):
         read_certificate("{not json")

@@ -123,6 +123,21 @@ def _mixed_graph(seed):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, a)])
 
 
+def test_girth_upto_is_girth_up_to_the_bound(pet, hs, heawood):
+    """girth(g, upto) is girth(g) when that is at most upto, else inf;
+    bounds below 3 read inf, as no cycle is that short."""
+    tree = build_graph(7, [(i, (i - 1) // 2) for i in range(1, 7)])
+    named = [("Petersen", pet), ("HS", hs), ("Heawood", heawood),
+             ("Robertson", robertson()), ("tree", tree)]
+    named += [(f"C{n}", cycle(n)) for n in range(3, 13)]
+    randoms = [(f"mixed-{seed}", _mixed_graph(seed)) for seed in range(40)]
+    for name, g in named + randoms:
+        full = girth(g)
+        for upto in range(-1, 9):
+            assert girth(g, upto) == (full if full <= upto else math.inf), (name, upto)
+    assert {3, 4, 5, 6} <= {girth(g) for _, g in randoms}
+
+
 def _small_gnp(seed):
     """Seeded G(n, p) with n <= 14, mostly sparse, so every girth class
     turns up, not only triangles."""
