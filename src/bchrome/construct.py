@@ -598,9 +598,6 @@ class HypothesisReport:
     flags: dict[str, bool]
     per_vertex: list[VertexReport]
 
-    def applicable_pairs(self) -> list[tuple[int, str]]:
-        return [(vr.vertex, s) for vr in self.per_vertex for s in vr.strategies]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -653,7 +650,7 @@ def _local_census(g: Graph, x: int) -> VertexReport:
     d >= 7 and girth 5: the same numbers and strategies, read off one
     bunches(g, x) without girth() or a cycle search."""
     bs = bunches(g, x)
-    c6t, c6n2, cb = bs.c6_through(g), bs.c6_in_n2(g), bs.closed_bunch_count(g)
+    c6t, c6n2, cb = bs.c6_through(g), bs.c6_in_n2(g), len(bs.closed_bunch_indices(g))
     return VertexReport(x, c6t, c6n2, cb, _listed(c6t, c6n2, cb))
 
 

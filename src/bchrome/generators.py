@@ -98,17 +98,21 @@ def _short_cycle(g: Graph, below: int) -> list[tuple[int, int]] | None:
     BFS from every vertex; the first closing edge found at a root whose
     closed walk is short enough is reconstructed into a cycle.
     """
+    dist = [0] * g.n
+    parent = [-1] * g.n
+    stamp = [-1] * g.n  # w is reached from root when stamp[w] == root
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
+        stamp[root] = root
         dist[root] = 0
+        parent[root] = -1  # ends the walks up the BFS tree
         q = deque([root])
         while q:
             u = q.popleft()
             if 2 * dist[u] + 1 >= below:
                 break
             for w in g.adj[u]:
-                if dist[w] == -1:
+                if stamp[w] != root:
+                    stamp[w] = root
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     q.append(w)

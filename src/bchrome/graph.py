@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -120,9 +120,14 @@ def girth(g: Graph, upto: int | None = None) -> float:
     a shortest cycle, so no BFS goes deeper than about upto / 2.
     """
     best = INF if upto is None else upto + 1
+    dist = [0] * g.n
+    parent = [-1] * g.n
+    # One set of lists for all roots: w is reached from root when
+    # stamp[w] == root.  parent[root] is never read, as every neighbor of
+    # the root is unreached when the root is scanned.
+    stamp = [-1] * g.n
     for root in range(g.n):
-        dist: list[float] = [INF] * g.n
-        parent = [-1] * g.n
+        stamp[root] = root
         dist[root] = 0
         q = deque([root])
         while q:
@@ -130,7 +135,8 @@ def girth(g: Graph, upto: int | None = None) -> float:
             if 2 * dist[u] >= best:
                 break
             for w in g.adj[u]:
-                if dist[w] == INF:
+                if stamp[w] != root:
+                    stamp[w] = root
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     q.append(w)
@@ -229,34 +235,24 @@ def _short_girth_sets(g: Graph) -> float:
 
 @dataclass
 class BunchStructure:
-    """Ordered bunches around a center vertex.
+    """Ordered bunches around a center vertex, as bunches() builds them.
 
     ``bunches[i]`` lists the neighbors of ``neighbor_order[i]`` other than
     the center.  ``position`` maps each bunch vertex to its 0-based
-    (bunch index, position within bunch).
+    (bunch index, position within bunch).  ``s2`` is S2(center), the
+    vertices at distance exactly 2: the union of the bunches, which
+    bunches() proves disjoint from each other and from N[center].
     """
 
     center: int
     neighbor_order: tuple[int, ...]
     bunches: list[list[int]]
-    position: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.position:
-            for i, bunch in enumerate(self.bunches):
-                for j, v in enumerate(bunch):
-                    self.position[v] = (i, j)
+    position: dict[int, tuple[int, int]]
+    s2: set[int]
 
     @property
     def d(self) -> int:
         return len(self.neighbor_order)
-
-    @property
-    def s2(self) -> set[int]:
-        """S2(center), the vertices at distance exactly 2: the union of the
-        bunches, which bunches() proves disjoint from each other and from
-        N[center]."""
-        return set(self.position)
 
     def s2_degrees(self, g: Graph) -> dict[int, int]:
         """Each S2 vertex's number of neighbors inside S2."""
@@ -303,10 +299,6 @@ class BunchStructure:
         return [i for i, bunch in enumerate(self.bunches)
                 if all(g.adj[v] <= n2 for v in bunch)]
 
-    def closed_bunch_count(self, g: Graph) -> int:
-        """Number of bunches whose vertices keep all neighbors in N2[center]."""
-        return len(self.closed_bunch_indices(g))
-
 
 def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> BunchStructure:
     """Bunch structure at x: bunch i is N(x_i) \\ {x} for the i-th neighbor.
@@ -322,18 +314,20 @@ def bunches(g: Graph, x: int, neighbor_order: Sequence[int] | None = None) -> Bu
         if sorted(order) != sorted(g.adj[x]):
             raise BadInput("neighbor_order is not a permutation of N(x)")
     closed = set(g.adj[x]) | {x}
-    seen: set[int] = set()
+    s2: set[int] = set()
+    position: dict[int, tuple[int, int]] = {}
     bunch_lists: list[list[int]] = []
-    for xi in order:
+    for i, xi in enumerate(order):
         bunch = sorted(g.adj[xi] - {x})
-        for v in bunch:
-            if v in seen or v in closed:
+        for j, v in enumerate(bunch):
+            if v in s2 or v in closed:
                 raise PreconditionViolated(
                     f"vertex {v} falls in two bunches of {x}; girth < 5"
                 )
-        seen.update(bunch)
+            position[v] = (i, j)
+        s2.update(bunch)
         bunch_lists.append(bunch)
-    return BunchStructure(center=x, neighbor_order=order, bunches=bunch_lists)
+    return BunchStructure(x, order, bunch_lists, position, s2)
 
 
 def s2_degree(g: Graph, x: int, v: int) -> int:
@@ -385,15 +379,3 @@ def closed_bunches(g: Graph, x: int) -> list[int]:
     if girth(g) < 5:
         raise PreconditionViolated("closed bunches need girth >= 5")
     return bunches(g, x).closed_bunch_indices(g)
-
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by s, plus the old->new identifier map."""
-    verts = sorted(set(s))
-    for v in verts:
-        g.check_vertex(v)
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (idx[u], idx[v]) for u, v in combinations(verts, 2) if g.has_edge(u, v)
-    ]
-    return build_graph(len(verts), edges), idx

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coloring import PartialColoring, is_b_coloring
 from .errors import BadInput
 from .graph import Graph
 from .transversal import SetFamily
@@ -499,7 +498,3 @@ def proper_coloring_exists(g: Graph, k: int) -> bool:
             pos -= 1
     return True
 
-
-def verify_witness(g: Graph, k: int, colors: list[int]) -> bool:
-    """Convenience: does a returned witness pass is_b_coloring?"""
-    return is_b_coloring(PartialColoring(g.n, k, list(colors)), g, k)

@@ -28,7 +28,6 @@ from bchrome.graph import (
     bunches,
     count_c6_in_n2,
     girth,
-    induced_subgraph,
     relabel,
     sphere,
 )
@@ -148,8 +147,7 @@ def test_criterion_05_c6_formula_oracle_equivalence():
         assert girth(g) >= 5 and g.n <= 60
         for x in range(g.n):
             n2 = {x} | set(g.adj[x]) | sphere(g, x, 2)
-            sub, idx = induced_subgraph(g, n2)
-            brute = len(enumerate_c6_through(sub, idx[x]))
+            brute = sum(1 for c in enumerate_c6_through(g, x) if n2.issuperset(c))
             assert count_c6_in_n2(g, x) == brute, (g, x)
             checked += 1
     print(

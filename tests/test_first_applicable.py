@@ -86,7 +86,8 @@ def _expected(g, rep, strategy):
     """The outcome read off the full census: its first applicable pair, run
     directly, or the error color raised from it.  A graph-level refusal
     names its reason in every mode."""
-    pairs = [p for p in rep.applicable_pairs() if strategy in (None, p[1])]
+    pairs = [(vr.vertex, s) for vr in rep.per_vertex for s in vr.strategies
+             if strategy in (None, s)]
     if pairs:
         x, s = pairs[0]
         return _outcome(lambda: auto_color(g, strategy=s, vertex=x))
@@ -182,7 +183,8 @@ def test_auto_color_on_planted_censuses_vertex_0_only(
 def first_bounded_c6(reports):
     """The lowest planted-graph vertex listing bounded-c6, read from the
     full census before any spy is in place."""
-    return next(x for x, s in reports("planted").applicable_pairs() if s == "bounded-c6")
+    return next(vr.vertex for vr in reports("planted").per_vertex
+                if "bounded-c6" in vr.strategies)
 
 
 def test_strategy_scan_stops_at_first_listing_vertex(

@@ -47,7 +47,7 @@ def test_local_numbers_match_the_census(census_graphs, name):
     for vr in hypothesis_report(g).per_vertex:
         x = vr.vertex
         bs = bunches(g, x)
-        local = (bs.c6_through(g), bs.c6_in_n2(g), bs.closed_bunch_count(g))
+        local = (bs.c6_through(g), bs.c6_in_n2(g), len(bs.closed_bunch_indices(g)))
         assert local == (vr.c6_through, vr.c6_in_n2, vr.closed_bunch_count), x
         assert local[0] == len(enumerate_c6_through(g, x)), x
 
