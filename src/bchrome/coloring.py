@@ -6,6 +6,7 @@ of the center's color in every construction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import BadInput, CompletionFailedError, ConstructionFailed
@@ -64,11 +65,18 @@ def available_colors(c: PartialColoring, g: Graph, v: int) -> set[int]:
 
 
 def is_proper(c: PartialColoring, g: Graph) -> bool:
-    """No edge has the same color at both ends; uncolored ends never clash."""
-    colors = c._colors
-    for u, nu in enumerate(g.adj):
-        cu = colors[u]
-        if cu is not None and cu in map(colors.__getitem__, nu):
+    """No edge has the same color at both ends; uncolored ends never clash.
+
+    The colored vertices are grouped by color, and each one's neighborhood
+    is tested against its own class with one isdisjoint call.
+    """
+    classes: defaultdict[int, set[int]] = defaultdict(set)
+    for v, col in enumerate(c._colors):
+        if col is not None:
+            classes[col].add(v)
+    adj = g.adj
+    for cls in classes.values():
+        if not all(map(cls.isdisjoint, map(adj.__getitem__, cls))):
             return False
     return True
 
@@ -101,18 +109,30 @@ def greedy_complete(c: PartialColoring, g: Graph) -> PartialColoring:
     """First-fit over the uncolored vertices in ascending order.
 
     Never recolors; raises CompletionFailedError(v) when a vertex has no
-    available color (impossible for k >= max degree + 1).  The color is
-    written directly: it is absent from ``used``, which holds every
-    neighbor's color, so c.assign's clash scan could not fail.
+    available color (impossible for k >= max degree + 1).  First fit never
+    goes above max degree + 1, so only the classes up to that color are
+    built, once an uncolored vertex is met.  Each uncolored vertex takes the
+    lowest color whose class misses its neighborhood and joins that class.
+    The color is written directly: no neighbor holds it, so c.assign's
+    clash scan could not fail.
     """
     colors = c._colors
-    for v, nv in enumerate(g.adj):
-        if colors[v] is not None:
-            continue
-        used = set(map(colors.__getitem__, nv))
-        for col in range(1, c.k + 1):
-            if col not in used:
+    if None not in colors:
+        return c
+    adj = g.adj
+    classes = {col: set() for col in range(1, min(c.k, max(map(len, adj)) + 1) + 1)}
+    uncolored = []
+    for v, col in enumerate(colors):
+        if col is None:
+            uncolored.append(v)
+        elif col in classes:
+            classes[col].add(v)
+    for v in uncolored:
+        nv = adj[v]
+        for col, cls in classes.items():
+            if cls.isdisjoint(nv):
                 colors[v] = col
+                cls.add(v)
                 break
         else:
             raise CompletionFailedError(v)

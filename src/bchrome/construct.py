@@ -488,9 +488,10 @@ def check_bunch_matrix(g: Graph, x: int, bm: BunchMatrix) -> tuple[bool, str | N
     if len(set(flat)) != len(flat) or set(flat) != s2:
         return False, "cells do not biject onto S2(x)"
     for cidx, xi in enumerate(bm.col_attach):
-        for r in range(d - 1):
-            if not g.has_edge(bm.cells[r][cidx], xi):
-                return False, f"cell ({r + 1},{cidx + 1}) not in bunch of {xi}"
+        nxi = g.adj[xi]
+        if not nxi.issuperset([row[cidx] for row in bm.cells]):
+            r = next(r for r, row in enumerate(bm.cells) if row[cidx] not in nxi)
+            return False, f"cell ({r + 1},{cidx + 1}) not in bunch of {xi}"
     n2 = (set(g.adj[x]) | s2) | {x}
     for cidx in (0, d - 1):
         for r in range(d - 1):
@@ -544,14 +545,15 @@ def color_two_bunch(g: Graph, x: int) -> Certificate:
     for j in range(4, d):  # step 5: c(x_d^j) = d+1
         c.assign(bm.cells[j - 1][d - 1], k, g)
     # step 6: color by the row of the unique X_d neighbor
-    xd_set = {bm.cells[r][d - 1]: r + 1 for r in range(d - 1)}
+    xd_row = {bm.cells[r][d - 1]: r + 1 for r in range(d - 1)}
+    xd = set(xd_row)
     for cidx in range(d - 1):
         rows = range(d - 1) if cidx < d - 2 else range(3, d - 1)
         for r in rows:
             wv = bm.cells[r][cidx]
             if c.color(wv) is None:
-                row = next(xd_set[u] for u in g.adj[wv] if u in xd_set)
-                c.assign(wv, row + 1, g)
+                (u,) = g.adj[wv] & xd
+                c.assign(wv, xd_row[u] + 1, g)
     # step 7: the six top-right cells, first fit
     for cidx in (d - 2, d - 1):
         for r in range(3):

@@ -6,6 +6,8 @@ import json
 import re
 from binascii import a2b_base64
 from dataclasses import fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .coloring import Certificate
 from .errors import BadInput, MalformedDimacs, MalformedGraph6, SchemaViolation
@@ -156,11 +158,54 @@ CERT_VERSION = 1
 _CERT_FIELDS = {"version", *(f.name for f in fields(Certificate))}
 
 
+# The types json writes without nesting; ints and strings have a direct
+# writer, which skips the encoder's per-call set-up.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_WRITE_SCALAR = {int: int.__repr__, str: encode_basestring_ascii}
+_encode_scalar = json.JSONEncoder().encode
+
+
+@lru_cache(maxsize=None)
+def _level(depth: int) -> tuple:
+    """The C encoder of a container ``depth`` levels inside the document, as
+    indent=2 lays it out, and the newline-and-indent strings before its
+    items and before its closing bracket.  The separators hold the layout:
+    a flat container comes out with only its brackets out of place."""
+    pad, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode, pad, close
+
+
+def _render(value, depth: int) -> str:
+    """value as json.dumps(doc, indent=2) writes it ``depth`` levels inside
+    doc: one C-encoder call for a scalar or a non-empty list or dict of
+    scalars, one per item for a list of those."""
+    t = type(value)
+    if t in _SCALARS:
+        return _WRITE_SCALAR.get(t, _encode_scalar)(value)
+    if value and (t is list or t is dict):
+        encode, pad, close = _level(depth)
+        if _SCALARS.issuperset(map(type, value.values() if t is dict else value)):
+            body = encode(value)
+            return body[0] + pad + body[1:-1] + close + body[-1]
+        if t is list:
+            return "[" + pad + ("," + pad).join([_render(x, depth + 1) for x in value]) \
+                + close + "]"
+    # Anything else (empty, nested dicts, tuples) as json.dumps lays it out,
+    # indented to its depth; JSON strings hold no raw newline.
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def write_certificate(cert: Certificate) -> str:
-    """JSON v1: "version", then the Certificate fields in their order."""
+    """JSON v1: "version", then the Certificate fields in their order.
+
+    The text is exactly json.dumps(doc, indent=2) + "\n", built from one
+    C-encoder call per field (see _render).
+    """
     doc = {"version": CERT_VERSION, **vars(cert)}
     doc["b_vertices"] = {str(cls): v for cls, v in sorted(cert.b_vertices.items())}
-    return json.dumps(doc, indent=2) + "\n"
+    return "{\n  " + ",\n  ".join(
+        [f"{encode_basestring_ascii(key)}: {_render(value, 1)}" for key, value in doc.items()]
+    ) + "\n}\n"
 
 
 # Canonical class keys only, so that "01" and "1" cannot name one class

@@ -12,7 +12,13 @@ from .graph import Graph, build_graph
 
 @dataclass
 class GenSpec:
-    """Parameters for random_regular_girth; deterministic per seed."""
+    """Parameters for random_regular_girth; deterministic per seed.
+
+    The swap repair's score counts only 3- and 4-cycles, so above
+    girth_min 5 its hill-climb is blind to the cycles it must remove and
+    can spend every attempt's swap_budget: n=40, d=4, girth_min 6, seed 0
+    with max_attempts=1 raises GenerationFailed after 2.9 s.
+    """
 
     n: int
     d: int
@@ -261,6 +267,8 @@ def random_regular_girth(spec: GenSpec) -> Graph:
 
     Deterministic per seed.  A spec below the Moore bound is BadInput;
     otherwise raises GenerationFailed after max_attempts exhausted pairings.
+    Above girth_min 5 the repair climbs blind and can fail where a graph
+    exists (see GenSpec).
     """
     if spec.d < 0:
         raise BadInput("degree must be nonnegative")

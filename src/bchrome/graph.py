@@ -101,11 +101,26 @@ def distances(g: Graph, v: int) -> list[float]:
 
 
 def sphere(g: Graph, v: int, k: int) -> set[int]:
-    """Vertices at distance exactly k from v."""
+    """Vertices at distance exactly k from v.
+
+    A BFS by levels that stops at depth k: a neighbor of level i lies in
+    level i - 1, i or i + 1, so level i + 1 is the neighborhood of level i
+    less levels i and i - 1.  The cost is that of the radius-k ball.
+    """
     if k < 0:
         raise BadInput("radius must be nonnegative")
-    dist = distances(g, v)
-    return {u for u in range(g.n) if dist[u] == k}
+    g.check_vertex(v)
+    adj = g.adj
+    prev: set[int] = set()
+    level = {v}
+    for _ in range(k):
+        if not level:
+            break
+        nxt = set().union(*map(adj.__getitem__, level))
+        nxt -= level
+        nxt -= prev
+        prev, level = level, nxt
+    return level
 
 
 def girth(g: Graph, upto: int | None = None) -> float:

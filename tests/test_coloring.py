@@ -108,6 +108,65 @@ def test_greedy_complete_is_first_fit():
         assert c.colors() == want
 
 
+def _first_fit_by_neighbors(colors, g, k):
+    """First fit from its definition, one neighbor at a time: the completed
+    colors, or (v, colors so far) when vertex v has no free color."""
+    out = list(colors)
+    for v in range(g.n):
+        if out[v] is None:
+            free = [col for col in range(1, k + 1)
+                    if all(out[w] != col for w in g.adj[v])]
+            if not free:
+                return v, out
+            out[v] = free[0]
+    return out
+
+
+def _partial_colorings(g, rng, count):
+    """Seeded partial colorings of g: a proper first-fit coloring with a
+    random share of its vertices uncolored and, half of the time, one
+    vertex recolored at random (which may or may not clash), and fully
+    random ones with None entries and k from 1 to max degree + 2."""
+    delta = max(len(a) for a in g.adj)
+    base = _first_fit_by_neighbors([None] * g.n, g, delta + 1)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            k = delta + 1
+            colors = [None if rng.random() < rng.random() else col for col in base]
+            if rng.random() < 0.5:
+                colors[rng.randrange(g.n)] = rng.randint(1, k)
+        else:
+            k = rng.randint(1, delta + 2)
+            colors = [None if rng.random() < 0.3 else rng.randint(1, k) for _ in range(g.n)]
+        yield k, colors
+
+
+def test_whole_coloring_passes_match_per_neighbor_definitions(pet, hs, no_c6_instance):
+    import random
+
+    rng = random.Random(26)
+    graphs = [pet, hs, no_c6_instance] + [
+        _random_graph(rng, rng.randint(1, 40), rng.random() * 0.3) for _ in range(12)]
+    verdicts, failures = set(), 0
+    for g in graphs:
+        for k, colors in _partial_colorings(g, rng, 20):
+            want = _proper_by_edges(colors, g)
+            assert is_proper(PartialColoring(g.n, k, colors), g) == want
+            verdicts.add(want)
+            c = PartialColoring(g.n, k, colors)
+            ref = _first_fit_by_neighbors(colors, g, k)
+            if isinstance(ref, tuple):
+                with pytest.raises(CompletionFailedError) as exc:
+                    greedy_complete(c, g)
+                assert exc.value.vertex == ref[0]
+                assert c.colors() == ref[1]
+                failures += 1
+            else:
+                assert greedy_complete(c, g).colors() == ref
+    assert verdicts == {True, False}
+    assert failures > 0
+
+
 def test_is_b_coloring_requires_total(c5):
     c = PartialColoring(5, 3)
     with pytest.raises(BadInput, match="b-coloring check needs a total coloring"):

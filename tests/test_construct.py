@@ -339,6 +339,28 @@ def test_checker_rejects_foreign_vertex(hs):
     assert not ok
 
 
+def test_checker_names_first_cell_outside_its_bunch(hs):
+    # Swapping two cells of one row keeps the cells a bijection onto S2, so
+    # the column-membership check is the first to fail.  Its reason names
+    # the first failing cell, column by column, as a per-cell scan finds it.
+    import random
+
+    rng = random.Random(26)
+    for x in (0, 17, 49):
+        bm = order_two_bunch(hs, x)
+        for _ in range(20):
+            mutated = copy.deepcopy(bm)
+            r = rng.randrange(bm.d - 1)
+            c1, c2 = rng.sample(range(bm.d), 2)
+            row = mutated.cells[r]
+            row[c1], row[c2] = row[c2], row[c1]
+            want = next(f"cell ({i + 1},{c + 1}) not in bunch of {xi}"
+                        for c, xi in enumerate(mutated.col_attach)
+                        for i, cells in enumerate(mutated.cells)
+                        if not hs.has_edge(cells[c], xi))
+            assert check_bunch_matrix(hs, x, mutated) == (False, want)
+
+
 def test_checker_rejects_wrong_columns(hs):
     bm = order_two_bunch(hs, 0)
     mutated = copy.deepcopy(bm)

@@ -330,6 +330,61 @@ def test_certificate_v1_key_order(hs, no_c6_instance, strategy):
     assert read_certificate(text) == cert
 
 
+def _certificate_text_by_json_dumps(cert):
+    """The v1 layout by its definition: json.dumps with indent=2."""
+    import json
+
+    doc = {"version": 1, **vars(cert),
+           "b_vertices": {str(cls): v for cls, v in sorted(cert.b_vertices.items())}}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("strategy", ["no-c6", "bounded-c6", "two-bunch"])
+def test_certificate_text_is_json_dumps_indent_2(hs, no_c6_instance, strategy):
+    from bchrome.construct import auto_color
+
+    g = hs if strategy == "two-bunch" else no_c6_instance
+    cert = auto_color(g, strategy, 0)
+    assert write_certificate(cert) == _certificate_text_by_json_dumps(cert)
+
+
+def test_certificate_text_is_json_dumps_indent_2_on_edge_cases():
+    from bchrome.coloring import Certificate
+
+    rng = random.Random(26)
+    alphabet = ['a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\x00', '\x7f', '/',
+                'é', 'ß', '→', '€', '\u2028', '😀', '[', ']', '{', '}', ',', ':']
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+
+    def ints(lo=0):
+        return [rng.randint(-3, 10**rng.randint(1, 12)) for _ in range(rng.randint(lo, 6))]
+
+    def scalars():
+        return [rng.choice([None, True, False, rng.randint(0, 9)])
+                for _ in range(rng.randint(0, 6))]
+
+    for _ in range(300):
+        row_order = rng.choice([
+            None, [], [[]], [[], []], [ints(1) for _ in range(rng.randint(1, 4))],
+            [ints() for _ in range(rng.randint(1, 4))],  # ragged, rows may be empty
+            [scalars() for _ in range(rng.randint(1, 3))],
+            [tuple(ints(1)), ints(1)],  # a caller may pass tuples
+            [ints(1), *scalars()],  # rows mixed with scalars
+        ])
+        cert = Certificate(
+            n=rng.randint(0, 10**6), m=rng.randint(0, 10**6), d=rng.randint(0, 9),
+            girth=rng.randint(0, 9), k=rng.randint(1, 12), strategy=text(),
+            center=rng.randint(-1, 50), neighbor_order=rng.choice([[], ints(), tuple(ints())]),
+            row_order=row_order, colors=rng.choice([[], ints(), scalars()]),
+            b_vertices={rng.randint(0, 10**rng.randint(1, 18)): rng.randint(-1, 99)
+                        for _ in range(rng.randint(0, 5))},
+            provenance=rng.choice([None, text()]),
+        )
+        assert write_certificate(cert) == _certificate_text_by_json_dumps(cert), cert
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -277,6 +277,27 @@ def test_sphere_petersen(pet):
     assert sphere(pet, 0, 2) == {2, 3, 6, 7, 8, 9}
 
 
+def test_sphere_matches_bfs_distances(pet, hs, heawood):
+    # Every level up to two past the eccentricity, where the sphere is
+    # empty, on connected graphs and on disconnected ones.
+    graphs = [pet, hs, heawood, cycle(9), build_graph(1, []), build_graph(4, [(0, 1)])]
+    graphs += [random_graph(n, p, seed) for seed, (n, p) in
+               enumerate([(12, 0.1), (20, 0.15), (30, 0.05), (25, 0.3)])]
+    assert any(math.inf in distances(g, 0) for g in graphs)
+    for g in graphs:
+        for v in range(g.n):
+            dist = distances(g, v)
+            ecc = max(x for x in dist if x != math.inf)
+            for k in range(ecc + 3):
+                assert sphere(g, v, k) == {u for u in range(g.n) if dist[u] == k}, (g, v, k)
+
+
+def test_sphere_rejects_bad_input(pet):
+    for v, k in ((0, -1), (-1, 2), (10, 0), (10, -1)):
+        with pytest.raises(BadInput):
+            sphere(pet, v, k)
+
+
 def test_bunches_petersen_default_order(pet):
     bs = bunches(pet, 0)
     assert bs.neighbor_order == (1, 4, 5)
