@@ -202,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", choices=_FAMILIES, required=True)
     g.add_argument("--n", type=int)
     g.add_argument("--d", type=int)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--girth-min", type=int, default=5)
+    g.add_argument("--seed", type=int, default=generators.GenSpec.seed)
+    g.add_argument("--girth-min", type=int, default=generators.GenSpec.girth_min)
     g.add_argument("--format", choices=("g6", "dimacs"), default="g6")
     g.set_defaults(fn=_cmd_gen)
 
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bchrom", help="oracle b-chromatic number")
     b.add_argument("graph")
-    b.add_argument("--time-budget", type=float, default=60.0)
-    b.add_argument("--node-budget", type=int, default=10_000_000)
+    b.add_argument("--time-budget", type=float, default=oracle.SearchLimits.time_budget)
+    b.add_argument("--node-budget", type=int, default=oracle.SearchLimits.max_nodes)
     b.set_defaults(fn=_cmd_bchrom)
     return p
 

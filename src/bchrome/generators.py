@@ -9,6 +9,11 @@ from dataclasses import dataclass
 from .errors import BadInput, GenerationFailed
 from .graph import Graph, build_graph
 
+# random_regular_girth's budgets: pairings drawn before GenerationFailed,
+# and swap rounds per pairing in _try_swap_repair.
+MAX_ATTEMPTS = 200
+SWAP_BUDGET = 20_000
+
 
 @dataclass
 class GenSpec:
@@ -16,16 +21,14 @@ class GenSpec:
 
     The swap repair's score counts only 3- and 4-cycles, so above
     girth_min 5 its hill-climb is blind to the cycles it must remove and
-    can spend every attempt's swap_budget: n=40, d=4, girth_min 6, seed 0
-    with max_attempts=1 raises GenerationFailed after 2.9 s.
+    can spend every attempt's SWAP_BUDGET: n=40, d=4, girth_min 6, seed 0
+    with one attempt raises GenerationFailed after 2.9 s.
     """
 
     n: int
     d: int
     girth_min: int = 5
     seed: int = 0
-    max_attempts: int = 200
-    swap_budget: int = 20_000
 
 
 def cycle(n: int) -> Graph:
@@ -63,10 +66,10 @@ def hoffman_singleton() -> Graph:
     return build_graph(50, edges)
 
 
-# The unique 4-regular girth-5 graph on 19 vertices (the (4,5)-cage), as
-# random_regular_girth(GenSpec(n=19, d=4, girth_min=5, seed=7,
-# max_attempts=500)).edges() produced it; kept as data, in that order, so
-# that a change to the generator's draws cannot relabel it.
+# The unique 4-regular girth-5 graph on 19 vertices (the (4,5)-cage): the
+# edge set that random_regular_girth(GenSpec(n=19, d=4, girth_min=5,
+# seed=7)) produced with 500 attempts.  It is kept as data, in this order,
+# so that a change to the generator's draws cannot relabel it.
 _ROBERTSON_EDGES = (
     (0, 16), (0, 1), (0, 18), (0, 5), (1, 9), (1, 2), (1, 14), (2, 3),
     (2, 4), (2, 13), (3, 10), (3, 12), (3, 5), (4, 8), (4, 16), (4, 6),
@@ -209,7 +212,7 @@ def _scored_swap(g: Graph, u: int, v: int, a: int, b: int, girth_min: int) -> in
     return won - lost
 
 
-def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) -> bool:
+def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random) -> bool:
     """Remove short cycles by degree-preserving 2-swaps.
 
     Hill-climbs on the short-cycle count, accepting plateau moves; one edge
@@ -219,12 +222,12 @@ def _try_swap_repair(g: Graph, girth_min: int, rng: random.Random, budget: int) 
     above that, the search runs until no cycle shorter than girth_min is left.
 
     Each tentative swap is scored by _scored_swap from the four edges it
-    touches, not by a full recount.
+    touches, not by a full recount.  At most SWAP_BUDGET rounds run.
     """
     if girth_min <= 3:
         return True
     score = _short_cycle_score(g, girth_min)
-    for _ in range(budget):
+    for _ in range(SWAP_BUDGET):
         if score == 0 and girth_min <= 5:
             return True
         cyc = _short_cycle(g, girth_min)
@@ -266,7 +269,7 @@ def random_regular_girth(spec: GenSpec) -> Graph:
     """Configuration-model pairing plus local edge-swap repair of short cycles.
 
     Deterministic per seed.  A spec below the Moore bound is BadInput;
-    otherwise raises GenerationFailed after max_attempts exhausted pairings.
+    otherwise raises GenerationFailed after MAX_ATTEMPTS exhausted pairings.
     Above girth_min 5 the repair climbs blind and can fail where a graph
     exists (see GenSpec).
     """
@@ -284,10 +287,10 @@ def random_regular_girth(spec: GenSpec) -> Graph:
             f"girth >= {spec.girth_min}"
         )
     rng = random.Random(spec.seed)
-    for _ in range(spec.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = _pairing(spec.n, spec.d, rng)
         if g is None:
             continue
-        if _try_swap_repair(g, spec.girth_min, rng, spec.swap_budget):
+        if _try_swap_repair(g, spec.girth_min, rng):
             return g
-    raise GenerationFailed(spec.max_attempts)
+    raise GenerationFailed(MAX_ATTEMPTS)

@@ -222,6 +222,28 @@ def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch, hs_file):
     assert (code, out) == (2, "") and err.endswith("unrecognized arguments: extra\n")
 
 
+def test_parsed_defaults_are_the_dataclass_defaults():
+    """gen's and bchrom's defaults are read from GenSpec and SearchLimits,
+    so each default has one source."""
+    import dataclasses
+
+    from bchrome.cli import build_parser
+    from bchrome.generators import GenSpec
+    from bchrome.oracle import SearchLimits
+
+    def defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    sub = build_parser().subcommands
+    gen = sub["gen"].parse_args(["--family", "random-regular"])
+    spec = defaults(GenSpec)
+    assert (gen.seed, gen.girth_min) == (spec["seed"], spec["girth_min"])
+    bchrom = sub["bchrom"].parse_args(["g.g6"])
+    lim = defaults(SearchLimits)
+    assert (bchrom.time_budget, bchrom.node_budget) == (lim["time_budget"], lim["max_nodes"])
+    assert (type(bchrom.time_budget), type(bchrom.node_budget)) == (float, int)
+
+
 def test_stdin_dimacs_autodetect(capsys, monkeypatch, pet):
     import io
 

@@ -1,16 +1,19 @@
 """Named families and the seeded random regular generator."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 
 import pytest
 
+from bchrome import generators
 from bchrome.errors import BadInput, GenerationFailed
 from bchrome.generators import (
     GenSpec,
     _pairing,
     _scored_swap,
+    _short_cycle,
     _short_cycle_score,
     cycle,
     hoffman_singleton,
@@ -89,11 +92,18 @@ def test_degree_guard():
         random_regular_girth(GenSpec(n=4, d=4))
 
 
-def test_impossible_spec_fails_cleanly():
+def test_impossible_spec_fails_cleanly(monkeypatch):
     # the Moore bound admits 18 vertices for d = 4, girth 5, but the smallest
     # such graph (the Robertson graph) has 19, so the search runs and fails
-    with pytest.raises(GenerationFailed):
-        random_regular_girth(GenSpec(n=18, d=4, girth_min=5, max_attempts=3, swap_budget=50))
+    monkeypatch.setattr(generators, "MAX_ATTEMPTS", 3)
+    monkeypatch.setattr(generators, "SWAP_BUDGET", 50)
+    with pytest.raises(GenerationFailed, match="^generation failed after 3 attempts$"):
+        random_regular_girth(GenSpec(n=18, d=4, girth_min=5))
+
+
+def test_spec_keeps_only_the_fields_callers_set():
+    assert [f.name for f in dataclasses.fields(GenSpec)] == ["n", "d", "girth_min", "seed"]
+    assert (generators.MAX_ATTEMPTS, generators.SWAP_BUDGET) == (200, 20_000)
 
 
 @pytest.mark.parametrize(
@@ -116,10 +126,12 @@ def test_spec_below_moore_bound_is_bad_input(n, d, girth_min):
         random_regular_girth(GenSpec(n=n, d=d, girth_min=girth_min))
 
 
-def test_spec_at_moore_bound_is_searched():
+def test_spec_at_moore_bound_is_searched(monkeypatch):
     # Petersen meets the bound, so n = 10 must reach the search
+    monkeypatch.setattr(generators, "MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(generators, "SWAP_BUDGET", 1)
     try:
-        random_regular_girth(GenSpec(n=10, d=3, girth_min=5, max_attempts=1, swap_budget=1))
+        random_regular_girth(GenSpec(n=10, d=3, girth_min=5))
     except GenerationFailed:
         pass
 
@@ -271,3 +283,43 @@ def test_scored_swap_on_a_4_cycle_u_v_a_b(n, d, seed, girth_min):
                     assert score == _short_cycle_score(g, girth_min)
                     swaps += 1
     assert swaps > 0
+
+
+def _on_triangle(g, v):
+    return any(b in g.adj[a] for a, b in itertools.combinations(g.adj[v], 2))
+
+
+def _on_triangle_or_4_cycle(g, v):
+    return _on_triangle(g, v) or any(
+        len(g.adj[a] & g.adj[b]) > 1 for a, b in itertools.combinations(g.adj[v], 2)
+    )
+
+
+def _is_cycle(g, cyc):
+    verts = [u for u, _ in cyc]
+    return (
+        len(set(verts)) == len(cyc) >= 3
+        and all(v in g.adj[u] for u, v in cyc)
+        and all(cyc[i][1] == cyc[(i + 1) % len(cyc)][0] for i in range(len(cyc)))
+    )
+
+
+@pytest.mark.parametrize("below, passes", [(4, _on_triangle), (5, _on_triangle_or_4_cycle)])
+@pytest.mark.parametrize("n, d, seed", sorted({(n, d, seed) for n, d, _, seed, _ in PINNED_GRAPHS}))
+def test_short_cycle_closes_at_the_lowest_root_on_a_short_cycle(n, d, seed, below, passes):
+    # Below 6 the BFS expands only the root and its neighbours, so it closes
+    # an edge at a root iff the root lies on a 3-cycle (below 4) or on a 3-
+    # or 4-cycle (below 5).  Cutting one edge of each cycle found walks the
+    # lowest such root up until no vertex passes and the answer is None.
+    g = _seeded_pairing(n, d, seed)
+    while True:
+        cyc = _short_cycle(g, below)
+        root = next((v for v in range(n) if passes(g, v)), None)
+        if cyc is None:
+            assert root is None
+            break
+        assert root is not None and _is_cycle(g, cyc) and len(cyc) < below
+        assert root in {u for u, _ in cyc}
+        u, v = cyc[0]
+        g.adj[u].discard(v)
+        g.adj[v].discard(u)
